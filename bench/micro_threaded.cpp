@@ -21,11 +21,11 @@
 // Measured:
 //   1. MEMORY     — end-to-end statistics bytes (provider + per-worker
 //                   accumulators, both slab buffers) from
-//                   ThreadedIntervalReport;
+//                   IntervalReport;
 //   2. THROUGHPUT — steady-state tuples/s (interval 0 is excluded: it
 //                   pays one-off state creation in both modes);
 //   3. STALL      — per-boundary time tuple ingestion was blocked
-//                   (ThreadedIntervalReport::stall_ms), taking the
+//                   (IntervalReport::stall_ms), taking the
 //                   MINIMUM over the steady overlapped boundaries
 //                   (1..N-2; interval 0 is warm-up, the final boundary
 //                   has no next interval to overlap with) — identical

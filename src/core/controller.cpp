@@ -5,7 +5,6 @@
 #include "common/assert.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "sketch/sketch_stats_window.h"
 #include "sketch/slab_sink.h"
 
 namespace skewless {
@@ -18,14 +17,6 @@ Controller::Controller(AssignmentFunction assignment, PlannerPtr planner,
       stats_(make_stats_provider(config.stats_mode, num_keys, config.window,
                                  config.sketch, config.shards)) {
   SKW_EXPECTS(planner_ != nullptr || !config_.enabled);
-}
-
-SketchStatsWindow* Controller::sketch_stats() {
-  return dynamic_cast<SketchStatsWindow*>(stats_.get());
-}
-
-const SketchStatsWindow* Controller::sketch_stats() const {
-  return dynamic_cast<const SketchStatsWindow*>(stats_.get());
 }
 
 SketchSlabSink* Controller::slab_sink() {

@@ -25,7 +25,6 @@
 
 namespace skewless {
 
-class SketchStatsWindow;
 class SketchSlabSink;
 
 struct ControllerConfig {
@@ -69,14 +68,6 @@ class Controller {
 
   [[nodiscard]] StatsProvider& stats() { return *stats_; }
   [[nodiscard]] const StatsProvider& stats() const { return *stats_; }
-
-  /// The provider as a SketchStatsWindow when stats_mode == kSketch,
-  /// nullptr in exact mode. The ThreadedEngine uses this seam to switch
-  /// its workers onto thread-local sketch slabs merged at the interval
-  /// boundary (instead of funnelling dense per-key maps through the
-  /// shared record() path).
-  [[nodiscard]] SketchStatsWindow* sketch_stats();
-  [[nodiscard]] const SketchStatsWindow* sketch_stats() const;
 
   /// The provider as a slab sink when stats_mode == kSketch — the single
   /// window (shards <= 1) or the sharded provider — nullptr in exact

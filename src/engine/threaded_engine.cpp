@@ -1,13 +1,11 @@
 #include "engine/threaded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/assert.h"
 #include "common/clock.h"
 #include "common/cpu_topology.h"
 #include "common/log.h"
-#include "common/rng.h"
 
 #if defined(__linux__) && defined(_GNU_SOURCE)
 #include <pthread.h>
@@ -17,26 +15,6 @@
 
 namespace skewless {
 namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Worker-side collector: counts emissions (downstream wiring is handled
-/// by pipelines at a higher level; the single-operator engine sinks them).
-class CountingCollector final : public Collector {
- public:
-  explicit CountingCollector(std::atomic<std::uint64_t>& counter)
-      : counter_(counter) {}
-  void emit(const Tuple& /*tuple*/) override {
-    counter_.fetch_add(1, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t>& counter_;
-};
 
 /// Pins `thread` to the `slot`-th CPU of the topology-aware pin order:
 /// one CPU per distinct physical core first, SMT siblings only after
@@ -59,30 +37,15 @@ bool pin_thread_to_slot(std::thread& thread, unsigned slot) {
 #endif
 }
 
-/// Realized imbalance max|c_d - avg|/avg over the per-worker costs.
-double max_theta_of(const std::vector<double>& worker_cost) {
-  double total = 0.0;
-  for (const double c : worker_cost) total += c;
-  if (total <= 0.0) return 0.0;
-  const double avg = total / static_cast<double>(worker_cost.size());
-  double worst = 0.0;
-  for (const double c : worker_cost) {
-    worst = std::max(worst, std::abs(c - avg) / avg);
-  }
-  return worst;
-}
-
 }  // namespace
 
 ThreadedEngine::ThreadedEngine(ThreadedConfig config,
                                std::shared_ptr<OperatorLogic> logic,
                                std::unique_ptr<Controller> controller)
-    : config_(config),
-      logic_(std::move(logic)),
-      controller_(std::move(controller)),
+    : EngineCore(std::move(logic), std::move(controller)),
+      config_(config),
       num_workers_(controller_->num_instances()),
       migration_mailbox_(1 << 20) {
-  SKW_EXPECTS(logic_ != nullptr);
   // No separate monitor in controller mode: the controller's provider
   // already sees every drained observation, and doubling it would
   // double exactly the stats memory the sketch mode exists to shrink.
@@ -93,11 +56,10 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
 ThreadedEngine::ThreadedEngine(ThreadedConfig config,
                                std::shared_ptr<OperatorLogic> logic,
                                InstanceId num_workers, std::uint64_t ring_seed)
-    : config_(config),
-      logic_(std::move(logic)),
+    : EngineCore(std::move(logic), nullptr),
+      config_(config),
       num_workers_(num_workers),
       migration_mailbox_(1 << 20) {
-  SKW_EXPECTS(logic_ != nullptr);
   hash_ring_.emplace(num_workers, 128, ring_seed);
   // The key domain is discovered from the stream; the monitor grows on
   // demand (the exact provider via resize_keys, the sketch natively).
@@ -110,7 +72,6 @@ ThreadedEngine::~ThreadedEngine() { shutdown(); }
 
 void ThreadedEngine::start_workers() {
   SKW_EXPECTS(num_workers_ > 0);
-  engine_epoch_us_ = steady_now_us();
   const auto n = static_cast<std::size_t>(num_workers_);
   queues_.reserve(n);
   stores_.reserve(n);
@@ -123,6 +84,7 @@ void ThreadedEngine::start_workers() {
         std::make_unique<BoundedMpmcQueue<WorkerMsg>>(config_.queue_capacity));
     stores_.push_back(std::make_unique<StateStore>());
     stats_.push_back(std::make_unique<WorkerStats>());
+    folds_.push_back(std::make_unique<WorkerFold>(*logic_, epoch_us_));
     stats_.back()->per_key.reserve(256);
     drain_scratch_[i].reserve(256);
   }
@@ -172,6 +134,7 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   const auto idx = static_cast<std::size_t>(id);
   StateStore& store = *stores_[idx];
   WorkerStats& stats = *stats_[idx];
+  WorkerFold& fold = *folds_[idx];
   // Sketch mode: the worker starts on buffer 0 of its pair and (async
   // merge only) alternates at every seal.
   ShardedWorkerSlab* slab =
@@ -184,11 +147,6 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   // any driver/merge read of the cells.
   bool prefaulted[2] = {false, false};
   std::size_t active_buf = 0;
-  CountingCollector collector(total_outputs_);
-  // Per-batch aggregation buffer, reused across batches (clear() keeps
-  // the bucket array, so steady state allocates nothing per batch).
-  std::unordered_map<KeyId, PerKeyStat> local;
-  local.reserve(256);
 
   while (true) {
     auto msg = queues_[idx]->pop();
@@ -202,28 +160,7 @@ void ThreadedEngine::worker_loop(InstanceId id) {
     } done_guard{stats.done_msgs};
 
     if (auto* batch = std::get_if<BatchMsg>(&*msg)) {
-      const Micros now = steady_now_us();
-      double latency_acc = 0.0;
-      std::uint64_t latency_n = 0;
-      // Per-key aggregation outside any shared structure: each distinct
-      // key pays ONE slab/map update per batch, not one per tuple.
-      local.clear();
-      for (const Tuple& t : batch->tuples) {
-        KeyState& state =
-            store.get_or_create(t.key, [&] { return logic_->make_state(); });
-        const Bytes before = state.bytes();
-        const Cost cost = logic_->process(t, state, collector);
-        const Bytes delta = std::max(0.0, state.bytes() - before);
-        auto& entry = local[t.key];
-        entry.cost += cost;
-        entry.state_bytes += delta;
-        ++entry.frequency;
-        latency_acc +=
-            static_cast<double>(now - engine_epoch_us_ - t.emit_micros);
-        ++latency_n;
-      }
-      total_processed_.fetch_add(batch->tuples.size(),
-                                 std::memory_order_relaxed);
+      fold.process(batch->tuples, store);
       if (slab != nullptr) {
         // Sketch mode: fold the batch into this worker's thread-local
         // slab — no lock anywhere, scalars included (they ride the slab
@@ -234,24 +171,18 @@ void ThreadedEngine::worker_loop(InstanceId id) {
           slab->prefault();
           prefaulted[active_buf] = true;
         }
-        slab->add_batch(local);
-        WorkerSketchSlab::IntervalScalars& sc = slab->scalars();
-        sc.processed += batch->tuples.size();
-        sc.latency_sum_us += latency_acc;
-        sc.latency_samples += latency_n;
+        fold.fold_into(*slab);
       } else {
         // Exact mode — one lock per batch: the merge and every counter
         // update share a single critical section.
         std::lock_guard lock(stats.mu);
-        for (const auto& [key, cb] : local) {
+        for (const auto& [key, cb] : fold.local()) {
           auto& entry = stats.per_key[key];
           entry.cost += cb.cost;
           entry.state_bytes += cb.state_bytes;
           entry.frequency += cb.frequency;
         }
-        stats.processed += batch->tuples.size();
-        stats.latency_sum_us += latency_acc;
-        stats.latency_samples += latency_n;
+        fold.add_scalars(stats.scalars);
       }
     } else if (auto* extract = std::get_if<ExtractMsg>(&*msg)) {
       for (const KeyId key : extract->keys) {
@@ -328,7 +259,7 @@ void ThreadedEngine::route_chunk(const Tuple* tuples, std::size_t n) {
     const InstanceId d = route_dests_[j];
     auto& batch = pending_batches_[static_cast<std::size_t>(d)];
     batch.push_back(tuples[j]);
-    batch.back().emit_micros = steady_now_us() - engine_epoch_us_;
+    batch.back().emit_micros = stamp();
     if (batch.size() >= config_.batch_size) flush_batch(d);
   }
 }
@@ -349,57 +280,40 @@ void ThreadedEngine::flush_batches() {
   for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
 }
 
-void ThreadedEngine::drain_worker_stats(ThreadedIntervalReport& report) {
-  double latency_sum = 0.0;
-  std::uint64_t latency_n = 0;
-  std::vector<double> worker_cost(stats_.size(), 0.0);
+BoundaryTally ThreadedEngine::drain_worker_stats() {
+  BoundaryTally tally(stats_.size());
   for (std::size_t w = 0; w < stats_.size(); ++w) {
-    WorkerStats& ws = *stats_[w];
     if (sketch_sink_ != nullptr) {
-      // Inline boundary merge, in worker-index order — a fixed order, so
-      // the merged sketch state is byte-identical regardless of which
-      // worker finished first. The quiescence wait in finish_boundary
-      // ordered all slab writes before this read; no lock is needed (the
-      // scalars ride the slab too).
+      // The quiescence wait in close() ordered all slab writes before
+      // this read; no lock is needed (the scalars ride the slab too).
       ShardedWorkerSlab& slab = *slabs_[w]->bufs[0];
-      report.processed += slab.scalars().processed;
-      latency_sum += slab.scalars().latency_sum_us;
-      latency_n += slab.scalars().latency_samples;
-      worker_cost[w] = slab.total_cost();
-      report.stats_memory_bytes += slab.memory_bytes();
-      // Worker w IS instance w: the whole slab's cold stream ran there,
-      // which is exactly the attribution the compact planning view's
-      // per-instance cold residual aggregates need.
-      WallTimer merge_timer;
-      sketch_sink_->absorb_slab(slab, static_cast<InstanceId>(w));
-      report.merge_ms += merge_timer.elapsed_millis();
+      tally.absorb(w, slab, *sketch_sink_);
       slab.clear();
       continue;
     }
+    WorkerStats& ws = *stats_[w];
     auto& drained = drain_scratch_[w];
+    WorkerSketchSlab::IntervalScalars scalars;
     {
-      // Single short critical section per worker: grab every scalar
-      // counter and swap out the per-key map, handing back last
+      // Single short critical section per worker: grab the scalar
+      // counters and swap out the per-key map, handing back last
       // interval's cleared, pre-bucketed map.
       std::lock_guard lock(ws.mu);
       drained.swap(ws.per_key);
-      report.processed += ws.processed;
-      ws.processed = 0;
-      latency_sum += ws.latency_sum_us;
-      latency_n += ws.latency_samples;
-      ws.latency_sum_us = 0.0;
-      ws.latency_samples = 0;
+      scalars = ws.scalars;
+      ws.scalars = {};
     }
     // Exact mode: account the worker-side map at its fullest (nodes are
     // freed by the clear below), then replay it into the provider.
     constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
-    report.stats_memory_bytes +=
+    const std::size_t memory =
         drained.size() *
-            (sizeof(std::pair<const KeyId, PerKeyStat>) + kNodeOverhead) +
+            (sizeof(WorkerFold::KeyAggMap::value_type) + kNodeOverhead) +
         (drained.bucket_count() + ws.per_key.bucket_count()) * sizeof(void*);
+    Cost cost = 0.0;
     WallTimer merge_timer;
     for (const auto& [key, cb] : drained) {
-      worker_cost[w] += cb.cost;
+      cost += cb.cost;
       const auto dest = static_cast<InstanceId>(w);
       if (controller_) {
         controller_->record(key, cb.cost, cb.state_bytes, cb.frequency, dest);
@@ -411,23 +325,17 @@ void ThreadedEngine::drain_worker_stats(ThreadedIntervalReport& report) {
         monitor_->record(key, cb.cost, cb.state_bytes, cb.frequency, dest);
       }
     }
-    report.merge_ms += merge_timer.elapsed_millis();
+    tally.add_merge_ms(merge_timer.elapsed_millis());
+    tally.add(w, scalars, cost, memory);
     // clear() keeps the bucket array; the next swap hands it back to the
     // worker so steady-state intervals do no hash-table allocation.
     drained.clear();
   }
-  report.avg_latency_ms =
-      latency_n > 0 ? latency_sum / static_cast<double>(latency_n) / 1000.0
-                    : 0.0;
-  // Imbalance from the realized per-worker work (works in every mode; in
-  // controller mode end_interval() recomputes the same value from the
-  // recorded statistics).
-  report.max_theta = max_theta_of(worker_cost);
+  return tally;
 }
 
 void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
-                                        BoundaryResult& result) {
-  std::vector<double> worker_cost(slabs_.size(), 0.0);
+                                        BoundaryTally& tally) {
   for (std::size_t w = 0; w < slabs_.size(); ++w) {
     SlabPair& pair = *slabs_[w];
     // The seal is the last message of the epoch in worker w's FIFO, so
@@ -446,24 +354,13 @@ void ThreadedEngine::merge_sealed_slabs(std::uint64_t epoch,
     if (pair.sealed_epoch.load(std::memory_order_acquire) < epoch) return;
     ShardedWorkerSlab& slab = *pair.bufs[(epoch - 1) & 1];
     SKW_ASSERT(slab.epoch() == epoch);
-    result.processed += slab.scalars().processed;
-    result.latency_sum_us += slab.scalars().latency_sum_us;
-    result.latency_samples += slab.scalars().latency_samples;
-    worker_cost[w] = slab.total_cost();
-    result.slab_memory_bytes += slab.memory_bytes();
-    // Worker-index order keeps the merged window byte-identical across
-    // schedulings; `w` is the slab's owning instance (cold-residual
-    // attribution, as in the inline path).
-    WallTimer merge_timer;
-    sketch_sink_->absorb_slab(slab, static_cast<InstanceId>(w));
-    result.merge_ms += merge_timer.elapsed_millis();
+    tally.absorb(w, slab, *sketch_sink_);
     slab.clear();
     // The worker's active peer cannot be measured while it accumulates;
     // the just-cleared buffer (same capacities, empty contents) stands
     // in for it so the double-buffer footprint is still accounted.
-    result.slab_memory_bytes += slab.memory_bytes();
+    tally.add_memory(slab.memory_bytes());
   }
-  result.max_theta = max_theta_of(worker_cost);
 }
 
 void ThreadedEngine::merge_loop() {
@@ -481,20 +378,20 @@ void ThreadedEngine::merge_loop() {
                      [&] { return merge_requested_ >= epoch || merge_stop_; });
       if (merge_requested_ < epoch) return;  // stopping, nothing pending
     }
-    BoundaryResult result;
-    merge_sealed_slabs(epoch, result);
+    BoundaryTally tally(slabs_.size());
+    merge_sealed_slabs(epoch, tally);
     if (stopping_.load(std::memory_order_acquire)) return;
     if (!controller_) {
       // Hash-only mode: the merge thread owns the monitor's roll and the
       // heavy-set publication — the sealed workers resume as soon as the
       // roll lands, with no driver involvement at all.
       monitor_->roll();
-      result.provider_memory_bytes = monitor_->memory_bytes();
+      tally.add_memory(monitor_->memory_bytes());
       publish_heavy_set(epoch);
     }
     {
       std::lock_guard lock(merge_mu_);
-      boundary_result_ = result;
+      boundary_tally_ = std::move(tally);
       merge_completed_ = epoch;
     }
     merge_cv_.notify_all();
@@ -518,15 +415,10 @@ void ThreadedEngine::publish_heavy_set(std::uint64_t epoch) {
 }
 
 Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
-  // Group the moves by source worker and extract.
-  std::vector<std::vector<KeyId>> by_source(
-      static_cast<std::size_t>(num_workers_));
-  for (const KeyMove& mv : plan.moves) {
-    by_source[static_cast<std::size_t>(mv.from)].push_back(mv.key);
-  }
+  MigrationRoutes routes = group_moves(plan, num_workers_);
   std::size_t expected = 0;
   for (InstanceId d = 0; d < num_workers_; ++d) {
-    auto& keys = by_source[static_cast<std::size_t>(d)];
+    auto& keys = routes.by_source[static_cast<std::size_t>(d)];
     if (keys.empty()) continue;
     expected += keys.size();
     ExtractMsg msg;
@@ -539,10 +431,6 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
 
   // Collect the extracted states (workers reach the Extract message after
   // finishing every tuple routed before the migration — FIFO ordering).
-  std::unordered_map<KeyId, InstanceId> dest_of;
-  dest_of.reserve(plan.moves.size());
-  for (const KeyMove& mv : plan.moves) dest_of.emplace(mv.key, mv.to);
-
   std::vector<std::vector<std::pair<KeyId, std::unique_ptr<KeyState>>>>
       by_dest(static_cast<std::size_t>(num_workers_));
   Bytes wire_bytes = 0.0;
@@ -564,7 +452,7 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
       SKW_ASSERT(restored->checksum() == state->checksum());
       state = std::move(restored);
     }
-    const InstanceId to = dest_of.at(extracted->key);
+    const InstanceId to = routes.dest_of.at(extracted->key);
     by_dest[static_cast<std::size_t>(to)].emplace_back(
         extracted->key, std::move(state));
   }
@@ -584,96 +472,49 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   return wire_bytes;
 }
 
-ThreadedIntervalReport ThreadedEngine::ingest(const std::vector<Tuple>& tuples) {
+std::uint64_t ThreadedEngine::route(const std::vector<Tuple>& tuples) {
   SKW_EXPECTS(!stopped_);
-  SKW_EXPECTS(open_boundary_epoch_ == 0);  // previous boundary finished
-  ThreadedIntervalReport report;
-  report.interval = interval_;
-  WallTimer timer;
   constexpr std::size_t kRouteChunk = 1024;
   for (std::size_t base = 0; base < tuples.size(); base += kRouteChunk) {
     route_chunk(tuples.data() + base,
                 std::min(kRouteChunk, tuples.size() - base));
   }
-  report.emitted = tuples.size();
   flush_batches();
-  total_emitted_ += report.emitted;
-  report.wall_ms = timer.elapsed_millis();
-  return report;
+  return tuples.size();
 }
 
-void ThreadedEngine::begin_boundary(ThreadedIntervalReport& report) {
-  WallTimer timer;
-  if (async_merge_on()) {
-    // Seal the epoch: one lightweight message per worker (FIFO puts it
-    // behind every batch of the closing interval), then hand the epoch
-    // to the merge thread. Ingestion is free to continue immediately —
-    // next-interval batches queue behind the seals and land in the
-    // workers' swapped-in buffers.
-    const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
-    open_boundary_epoch_ = epoch;
-    for (InstanceId d = 0; d < num_workers_; ++d) {
-      const auto di = static_cast<std::size_t>(d);
-      // force_push: the seal is a control message — blocking behind a
-      // full data queue here would BE the boundary stall this protocol
-      // removes (the driver runs ahead of the workers, so the queues are
-      // routinely at capacity when the interval closes).
-      const bool ok = queues_[di]->force_push(WorkerMsg(SealMsg{epoch}));
-      SKW_ASSERT(ok);
-      ++pushed_msgs_[di];
-    }
-    {
-      std::lock_guard lock(merge_mu_);
-      merge_requested_ = epoch;
-    }
-    merge_cv_.notify_all();
+void ThreadedEngine::seal() {
+  if (!async_merge_on()) return;
+  // Seal the epoch: one lightweight message per worker (FIFO puts it
+  // behind every batch of the closing interval), then hand the epoch to
+  // the merge thread. Ingestion is free to continue immediately —
+  // next-interval batches queue behind the seals and land in the
+  // workers' swapped-in buffers.
+  const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
+  for (InstanceId d = 0; d < num_workers_; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    // force_push: the seal is a control message — blocking behind a full
+    // data queue here would BE the boundary stall this protocol removes
+    // (the driver runs ahead of the workers, so the queues are routinely
+    // at capacity when the interval closes).
+    const bool ok = queues_[di]->force_push(WorkerMsg(SealMsg{epoch}));
+    SKW_ASSERT(ok);
+    ++pushed_msgs_[di];
   }
-  const double seg = timer.elapsed_millis();
-  open_boundary_stall_ms_ = seg;
-  report.wall_ms += seg;
+  {
+    std::lock_guard lock(merge_mu_);
+    merge_requested_ = epoch;
+  }
+  merge_cv_.notify_all();
 }
 
-void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
-  WallTimer timer;
+void ThreadedEngine::close(IntervalReport& report) {
+  const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
+  BoundaryTally tally;
   if (async_merge_on()) {
-    const std::uint64_t epoch =
-        open_boundary_epoch_ != 0
-            ? open_boundary_epoch_
-            : static_cast<std::uint64_t>(interval_) + 1;
-    BoundaryResult r;
-    {
-      std::unique_lock lock(merge_mu_);
-      merge_cv_.wait(lock, [&] { return merge_completed_ >= epoch; });
-      r = boundary_result_;
-    }
-    report.processed += r.processed;
-    report.avg_latency_ms =
-        r.latency_samples > 0
-            ? r.latency_sum_us / static_cast<double>(r.latency_samples) /
-                  1000.0
-            : 0.0;
-    report.max_theta = r.max_theta;
-    report.merge_ms = r.merge_ms;
-    report.stats_memory_bytes += r.slab_memory_bytes;
-    if (controller_) {
-      // The controller rolls and plans over the fully-merged epoch; the
-      // heavy set is published (unblocking the sealed workers) before
-      // any migration messages need processing.
-      if (auto plan = controller_->end_interval()) {
-        report.migrated = true;
-        report.moves = plan->moves.size();
-        report.migration_bytes = plan->migration_bytes;
-        report.generation_micros = plan->generation_micros;
-        publish_heavy_set(epoch);
-        report.migration_wire_bytes = execute_migration(*plan);
-      } else {
-        publish_heavy_set(epoch);
-      }
-      report.max_theta = controller_->last_observed_theta();
-      report.stats_memory_bytes += controller_->stats_memory_bytes();
-    } else {
-      report.stats_memory_bytes += r.provider_memory_bytes;
-    }
+    std::unique_lock lock(merge_mu_);
+    merge_cv_.wait(lock, [&] { return merge_completed_ >= epoch; });
+    tally = std::move(boundary_tally_);
   } else {
     // Inline boundary: wait for every pushed message to be fully
     // processed so the interval's statistics are complete before
@@ -687,31 +528,29 @@ void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
         std::this_thread::yield();
       }
     }
-    drain_worker_stats(report);  // also accounts worker-side stats memory
-    if (monitor_) monitor_->roll();
-    report.stats_memory_bytes += controller_
-                                     ? controller_->stats_memory_bytes()
-                                     : monitor_->memory_bytes();
-    if (controller_) {
-      if (auto plan = controller_->end_interval()) {
-        report.migrated = true;
-        report.moves = plan->moves.size();
-        report.migration_bytes = plan->migration_bytes;
-        report.generation_micros = plan->generation_micros;
-        report.migration_wire_bytes = execute_migration(*plan);
-      }
-      report.max_theta = controller_->last_observed_theta();
+    tally = drain_worker_stats();
+    if (monitor_) {
+      monitor_->roll();
+      tally.add_memory(monitor_->memory_bytes());
     }
-    // The roll just promoted/demoted: re-broadcast the heavy set so next
-    // interval's hot keys accumulate exactly in the worker slabs.
-    // Workers only read the heavy set while processing a Batch message,
-    // and the next batch is pushed (queue-synchronized) after this
-    // write.
-    refresh_worker_heavy_sets();
   }
+  tally.report_into(report);
+  std::optional<RebalancePlan> plan;
+  if (controller_) plan = plan_boundary(report);
+  // The roll just promoted/demoted: hand the post-roll heavy set to the
+  // workers before any migration message needs processing. Async: the
+  // epoch-stamped publish unblocks the sealed workers (hash-only mode
+  // published from the merge thread). Inline: written straight into the
+  // quiescent workers' slabs, which they read only while processing a
+  // batch pushed (queue-synchronized) after this write.
+  if (!async_merge_on()) {
+    refresh_worker_heavy_sets();
+  } else if (controller_) {
+    publish_heavy_set(epoch);
+  }
+  if (plan) report.migration_wire_bytes = execute_migration(*plan);
   if (controller_ && config_.expire_lag_intervals > 0) {
-    const Micros watermark =
-        (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
+    const Micros watermark = expire_watermark(config_.expire_lag_intervals);
     for (InstanceId d = 0; d < num_workers_; ++d) {
       ExpireMsg msg{watermark};
       const bool ok =
@@ -722,72 +561,12 @@ void ThreadedEngine::finish_boundary(ThreadedIntervalReport& report) {
       ++pushed_msgs_[static_cast<std::size_t>(d)];
     }
   }
-  const double seg = timer.elapsed_millis();
-  report.stall_ms = open_boundary_stall_ms_ + seg;
-  report.wall_ms += seg;
-  report.throughput_tps = report.wall_ms > 0.0
-                              ? static_cast<double>(report.processed) /
-                                    (report.wall_ms / 1000.0)
-                              : 0.0;
-  if (controller_) controller_->note_boundary(report.merge_ms, report.stall_ms);
-  open_boundary_epoch_ = 0;
-  open_boundary_stall_ms_ = 0.0;
-  ++interval_;
 }
 
-ThreadedIntervalReport ThreadedEngine::run_interval(
-    const std::vector<Tuple>& tuples) {
-  ThreadedIntervalReport report = ingest(tuples);
-  begin_boundary(report);
-  finish_boundary(report);
-  return report;
-}
-
-std::vector<ThreadedIntervalReport> ThreadedEngine::run(WorkloadSource& source,
-                                                        int intervals,
-                                                        std::uint64_t seed) {
-  std::vector<ThreadedIntervalReport> reports;
-  reports.reserve(static_cast<std::size_t>(intervals));
-  Xoshiro256 rng(seed);
-
-  const auto expand = [&](std::vector<Tuple>& tuples) {
-    const IntervalWorkload load = source.next_interval();
-    tuples.clear();
-    tuples.reserve(static_cast<std::size_t>(load.total()));
-    for (std::size_t k = 0; k < load.counts.size(); ++k) {
-      for (std::uint64_t c = 0; c < load.counts[k]; ++c) {
-        Tuple t;
-        t.key = static_cast<KeyId>(k);
-        t.value = static_cast<std::int64_t>(c);
-        tuples.push_back(t);
-      }
-    }
-    // Deterministic shuffle so hot keys are interleaved like a stream.
-    for (std::size_t j = tuples.size(); j > 1; --j) {
-      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
-    }
-  };
-
-  std::vector<Tuple> tuples;
-  std::vector<Tuple> next;
-  if (intervals > 0) expand(tuples);
-  for (int i = 0; i < intervals; ++i) {
-    ThreadedIntervalReport report = ingest(tuples);
-    begin_boundary(report);
-    // Overlap window: generate (expand + shuffle) the NEXT interval's
-    // tuples while the merge thread absorbs this interval's sealed
-    // slabs. The tuple source keeps flowing through the boundary — the
-    // wall/stall accounting in begin/finish deliberately excludes this
-    // segment, because the driver is doing next-interval source work,
-    // not waiting. Without the async merge this is a plain sequential
-    // expansion (begin_boundary was a no-op).
-    if (i + 1 < intervals) expand(next);
-    finish_boundary(report);
-    reports.push_back(report);
-    std::swap(tuples, next);
-    next.clear();
-  }
-  return reports;
+std::uint64_t ThreadedEngine::total_output_tuples() const {
+  std::uint64_t total = 0;
+  for (const auto& fold : folds_) total += fold->outputs();
+  return total;
 }
 
 void ThreadedEngine::shutdown() {

@@ -19,17 +19,19 @@
 //      FIFO queue, so it can never observe a missing state.
 // Keys not involved in ∆(F, F') keep flowing the whole time.
 //
-// Statistics contract (worker ↔ driver):
-//   * exact mode — workers aggregate per batch into a private map, merge
-//     it into a mutex-guarded shared map, and the driver swaps those out
-//     at interval boundaries and replays them into the provider. O(|K|)
-//     hash traffic crosses threads each interval.
-//   * sketch mode — each worker owns thread-local WorkerSketchSlabs
+// Statistics contract (worker ↔ driver). Every worker runs the shared
+// WorkerFold (engine/engine_core.h) per batch; the stats mode decides
+// where the batch's per-key aggregation goes:
+//   * exact mode — merged into a mutex-guarded shared map, which the
+//     driver swaps out at interval boundaries and replays into the
+//     provider. O(|K|) hash traffic crosses threads each interval.
+//   * sketch mode — folded into the worker's thread-local slab
 //     (Count-Min sketches + Misra-Gries candidates + exact hot-key map
-//     for the current heavy set) that are merged into the
-//     SketchStatsWindow at the interval boundary in worker-index order,
-//     so results are byte-identical regardless of worker finish order.
-//     No per-key hash traffic crosses threads on the data path.
+//     for the current heavy set). The boundary absorbs the slabs through
+//     the shared BoundaryTally in worker-index order — the same fold and
+//     the same absorb as the socket engine, which is why the two engines
+//     are byte-identical by construction. No per-key hash traffic
+//     crosses threads on the data path.
 //
 // Seal protocol (sketch mode, ThreadedConfig::async_merge — the
 // asynchronous boundary merge): each worker owns a PAIR of slabs. At the
@@ -44,12 +46,12 @@
 // keeps double-buffered runs byte-identical to the inline merge: every
 // slab accumulates under exactly the heavy set the inline schedule would
 // have installed. A driver-side merge thread absorbs the sealed slabs in
-// worker-index order while the next interval's tuples are generated and
-// queued; the merge input is exactly the sealed epoch regardless of
-// scheduling, so the merged window state is schedule-independent too.
-// With async_merge off the PR-3 inline protocol (gap-free quiescence
-// wait + driver-side absorb) runs unchanged and is the determinism
-// baseline the double-buffer path is tested against.
+// worker-index order while the next interval's tuples are generated; the
+// merge input is exactly the sealed epoch regardless of scheduling, so
+// the merged window state is schedule-independent too. With async_merge
+// off the inline protocol (gap-free quiescence wait + driver-side absorb)
+// runs instead and is the determinism baseline the double-buffer path is
+// tested against.
 #pragma once
 
 #include <atomic>
@@ -58,7 +60,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -66,10 +67,10 @@
 #include "common/queue.h"
 #include "common/types.h"
 #include "core/controller.h"
+#include "engine/engine_core.h"
 #include "engine/operator.h"
 #include "engine/state.h"
 #include "engine/tuple.h"
-#include "engine/workload_source.h"
 #include "sketch/sharded_worker_slab.h"
 #include "sketch/sketch_stats_window.h"
 #include "sketch/slab_sink.h"
@@ -88,7 +89,7 @@ struct ThreadedConfig {
   /// If true, migrated states round-trip through the byte codec
   /// (KeyState::serialize -> OperatorLogic::deserialize_state), as a
   /// distributed deployment would ship them. Costs CPU, proves fidelity,
-  /// and fills ThreadedIntervalReport::migration_wire_bytes.
+  /// and fills IntervalReport::migration_wire_bytes.
   bool serialize_migration = false;
   /// Storage for the engine-side statistics monitor that hash-only mode
   /// keeps (there is no controller to hold one). In controller mode the
@@ -116,45 +117,7 @@ struct ThreadedConfig {
   bool pin_workers = false;
 };
 
-struct ThreadedIntervalReport {
-  IntervalId interval = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t processed = 0;
-  double wall_ms = 0.0;
-  double throughput_tps = 0.0;
-  double avg_latency_ms = 0.0;
-  double max_theta = 0.0;
-  bool migrated = false;
-  std::size_t moves = 0;
-  Bytes migration_bytes = 0.0;
-  /// Actual serialized payload shipped during migration (only when
-  /// ThreadedConfig::serialize_migration is set).
-  Bytes migration_wire_bytes = 0.0;
-  Micros generation_micros = 0;
-  /// Resident bytes of ALL statistics structures on the engine: the
-  /// provider (controller's in controller mode, the engine monitor in
-  /// hash-only mode) plus the per-worker accumulators — sketch slabs
-  /// (both buffers of each pair in double-buffered mode) in sketch mode,
-  /// the shared per-key maps and drain scratch in exact mode. This is
-  /// the end-to-end number the exact-vs-sketch memory trade-off is
-  /// about.
-  std::size_t stats_memory_bytes = 0;
-  /// Time the driver's tuple ingestion was blocked by this interval's
-  /// boundary: everything between the last tuple of this interval and
-  /// being ready to route the next one, minus any overlap window run()
-  /// spends generating the next interval's tuples. Inline merge: the
-  /// whole quiesce + absorb + roll + plan sequence. Async merge: the
-  /// seal pushes plus whatever merge/plan work had not finished by
-  /// harvest time.
-  double stall_ms = 0.0;
-  /// Time spent absorbing worker statistics into the provider — slab
-  /// absorbs on the merge path in sketch mode, the per-key replay under
-  /// the drain locks in exact mode — so exact mode's per-drain cost is
-  /// visible in the same place.
-  double merge_ms = 0.0;
-};
-
-class ThreadedEngine {
+class ThreadedEngine final : public EngineCore {
  public:
   /// Controller mode: the controller's AssignmentFunction routes tuples
   /// and its planner rebalances at interval boundaries.
@@ -166,25 +129,7 @@ class ThreadedEngine {
   ThreadedEngine(ThreadedConfig config, std::shared_ptr<OperatorLogic> logic,
                  InstanceId num_workers_for_ring, std::uint64_t ring_seed);
 
-  ~ThreadedEngine();
-
-  ThreadedEngine(const ThreadedEngine&) = delete;
-  ThreadedEngine& operator=(const ThreadedEngine&) = delete;
-
-  /// Processes `intervals` intervals from `source` (counts are expanded
-  /// into a deterministic shuffled tuple sequence with `seed`). With the
-  /// asynchronous boundary merge enabled, the next interval's tuple
-  /// expansion overlaps the previous boundary's slab merge — the
-  /// pipelining run_interval's one-shot API cannot express.
-  std::vector<ThreadedIntervalReport> run(WorkloadSource& source,
-                                          int intervals,
-                                          std::uint64_t seed = 1);
-
-  /// Processes an explicit tuple sequence as one interval. Uses the same
-  /// seal/merge protocol as run() but completes the boundary before
-  /// returning (no overlap window), so the merged statistics are fully
-  /// visible to the caller — and byte-identical to the inline merge.
-  ThreadedIntervalReport run_interval(const std::vector<Tuple>& tuples);
+  ~ThreadedEngine() override;
 
   /// Stops and joins the workers; further run() calls are invalid.
   /// Called automatically by the destructor.
@@ -197,8 +142,6 @@ class ThreadedEngine {
   /// Valid after shutdown(): number of distinct keys with live state.
   [[nodiscard]] std::size_t total_state_entries() const;
 
-  [[nodiscard]] Controller* controller() { return controller_.get(); }
-
   /// The per-key statistics view: the controller's provider in
   /// controller mode, the engine-side monitor (rolled once per
   /// interval, per ThreadedConfig::stats_mode) in hash-only mode.
@@ -210,15 +153,9 @@ class ThreadedEngine {
   /// effect — 0 when pinning is off or unsupported on this platform.
   [[nodiscard]] InstanceId pinned_workers() const { return pinned_workers_; }
 
-  [[nodiscard]] std::uint64_t total_emitted() const {
-    return total_emitted_;
-  }
-  [[nodiscard]] std::uint64_t total_processed() const {
-    return total_processed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total_output_tuples() const {
-    return total_outputs_.load(std::memory_order_relaxed);
-  }
+  /// Tuples the operator emitted. Valid between intervals and after
+  /// shutdown(): a closed boundary orders every worker's writes before it.
+  [[nodiscard]] std::uint64_t total_output_tuples() const;
 
  private:
   struct BatchMsg {
@@ -251,11 +188,6 @@ class ThreadedEngine {
     std::unique_ptr<KeyState> state;  // nullptr if the key had no state yet
   };
 
-  /// Per-key accumulation for one batch/interval on one worker — the
-  /// slab's exact-aggregation struct, reused so a batch's scratch map
-  /// can be handed to WorkerSketchSlab::add_batch wholesale.
-  using PerKeyStat = WorkerSketchSlab::KeyAgg;
-
   /// Per-worker statistics shared with the driver. The channel depends
   /// on the stats mode:
   ///
@@ -274,10 +206,8 @@ class ThreadedEngine {
   ///    hash traffic and no lock on the data path.
   struct WorkerStats {
     std::mutex mu;
-    std::unordered_map<KeyId, PerKeyStat> per_key;
-    std::uint64_t processed = 0;
-    double latency_sum_us = 0.0;
-    std::uint64_t latency_samples = 0;
+    WorkerFold::KeyAggMap per_key;
+    WorkerSketchSlab::IntervalScalars scalars;
     /// Messages fully handled by the worker, incremented with release
     /// ordering only AFTER all the message's effects (state mutations,
     /// slab writes, stats updates) are complete. The driver is the only
@@ -299,18 +229,6 @@ class ThreadedEngine {
     std::atomic<std::uint64_t> sealed_epoch{0};
   };
 
-  /// Everything the merge path harvests for one sealed epoch; handed to
-  /// the driver under merge_mu_ when the epoch completes.
-  struct BoundaryResult {
-    std::uint64_t processed = 0;
-    double latency_sum_us = 0.0;
-    std::uint64_t latency_samples = 0;
-    double max_theta = 0.0;
-    double merge_ms = 0.0;
-    std::size_t slab_memory_bytes = 0;
-    std::size_t provider_memory_bytes = 0;  // hash-only mode: post-roll
-  };
-
   void start_workers();
   void worker_loop(InstanceId id);
   void merge_loop();
@@ -322,50 +240,47 @@ class ThreadedEngine {
   void flush_batch(InstanceId d);
   /// Returns the serialized payload size (0 when serialization is off).
   Bytes execute_migration(const RebalancePlan& plan);
-  void drain_worker_stats(ThreadedIntervalReport& report);
+  /// Inline boundary: tallies every quiescent worker's statistics into
+  /// the provider (slab absorb in sketch mode, per-key replay in exact
+  /// mode).
+  BoundaryTally drain_worker_stats();
   /// Absorbs every worker's sealed slab for `epoch` in worker-index
-  /// order (waiting for stragglers to seal), filling `result`. Runs on
-  /// the merge thread.
-  void merge_sealed_slabs(std::uint64_t epoch, BoundaryResult& result);
+  /// order (waiting for stragglers to seal) into `tally`. Runs on the
+  /// merge thread.
+  void merge_sealed_slabs(std::uint64_t epoch, BoundaryTally& tally);
   /// Pushes the sketch window's post-roll heavy set into every worker
   /// slab (inline merge only; workers must be quiescent).
   void refresh_worker_heavy_sets();
   /// Epoch-stamped release-publish of the post-roll heavy set; sealed
   /// workers waiting at their SealMsg barrier install it and resume.
   void publish_heavy_set(std::uint64_t epoch);
-  /// Routes `tuples` as the open interval's stream (wall_ms accumulates
-  /// the routing segment only).
-  ThreadedIntervalReport ingest(const std::vector<Tuple>& tuples);
-  /// Starts the interval boundary: async merge pushes the seals and
-  /// hands the epoch to the merge thread; inline/exact modes do nothing
-  /// yet. Between begin and finish the caller may overlap driver-side
-  /// work (run() expands the next interval's tuples there) — but must
-  /// not route tuples or touch statistics.
-  void begin_boundary(ThreadedIntervalReport& report);
-  /// Completes the boundary: harvests the merge (waiting if it has not
-  /// caught up), rolls/plans/migrates, publishes the heavy set, and
-  /// finalizes the report's wall/stall/throughput numbers.
-  void finish_boundary(ThreadedIntervalReport& report);
+  std::uint64_t route(const std::vector<Tuple>& tuples) override;
+  /// Async merge pushes the seals and hands the epoch to the merge
+  /// thread; inline/exact modes do nothing yet.
+  void seal() override;
+  /// Harvests the merge (async: waiting if it has not caught up; inline:
+  /// quiesce + drain), rolls/plans/migrates, publishes the heavy set and
+  /// queues the expiry watermark.
+  void close(IntervalReport& report) override;
   [[nodiscard]] bool async_merge_on() const {
     return sketch_sink_ != nullptr && config_.async_merge;
   }
 
   ThreadedConfig config_;
-  std::shared_ptr<OperatorLogic> logic_;
-  std::unique_ptr<Controller> controller_;
   std::optional<ConsistentHashRing> hash_ring_;  // hash-only mode
   InstanceId num_workers_;
 
   std::vector<std::unique_ptr<BoundedMpmcQueue<WorkerMsg>>> queues_;
   std::vector<std::unique_ptr<StateStore>> stores_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;
+  std::vector<std::unique_ptr<WorkerFold>> folds_;
   /// Messages the driver has pushed to each worker (driver-owned; the
   /// quiescence wait compares it against WorkerStats::done_msgs).
   /// StopMsg is deliberately uncounted — nothing waits after shutdown.
   std::vector<std::uint64_t> pushed_msgs_;
   /// Driver-side scratch maps swapped against WorkerStats::per_key at
   /// each drain (cleared with buckets retained — no per-interval rebuild).
-  std::vector<std::unordered_map<KeyId, PerKeyStat>> drain_scratch_;
+  std::vector<WorkerFold::KeyAggMap> drain_scratch_;
   std::unique_ptr<StatsProvider> monitor_;  // hash-only mode, else null
   /// The provider as a slab sink when stats_mode == kSketch (whether
   /// owned by the controller or by monitor_; the single window or the
@@ -412,19 +327,9 @@ class ThreadedEngine {
   std::uint64_t merge_requested_ = 0;  // guarded by merge_mu_
   std::uint64_t merge_completed_ = 0;  // guarded by merge_mu_
   bool merge_stop_ = false;            // guarded by merge_mu_
-  BoundaryResult boundary_result_;     // guarded by merge_mu_
-  /// Boundary-in-flight epoch between begin_boundary and
-  /// finish_boundary (driver-only).
-  std::uint64_t open_boundary_epoch_ = 0;
-  /// Driver-side stall accumulator for the open boundary.
-  double open_boundary_stall_ms_ = 0.0;
+  BoundaryTally boundary_tally_;       // guarded by merge_mu_
 
   InstanceId pinned_workers_ = 0;
-  std::atomic<std::uint64_t> total_processed_{0};
-  std::atomic<std::uint64_t> total_outputs_{0};
-  std::uint64_t total_emitted_ = 0;
-  IntervalId interval_ = 0;
-  Micros engine_epoch_us_ = 0;
   bool stopped_ = false;
 };
 

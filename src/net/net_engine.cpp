@@ -1,8 +1,6 @@
 #include "net/net_engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include <signal.h>
@@ -13,40 +11,13 @@
 #include "common/assert.h"
 #include "common/clock.h"
 #include "common/log.h"
-#include "common/rng.h"
 #include "net/worker_main.h"
-#include "sketch/sketch_stats_window.h"
 
 namespace skewless {
-namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Realized imbalance max|c_d - avg|/avg (same as the threaded engine).
-double max_theta_of(const std::vector<double>& worker_cost) {
-  double total = 0.0;
-  for (const double c : worker_cost) total += c;
-  if (total <= 0.0) return 0.0;
-  const double avg = total / static_cast<double>(worker_cost.size());
-  double worst = 0.0;
-  for (const double c : worker_cost) {
-    worst = std::max(worst, std::abs(c - avg) / avg);
-  }
-  return worst;
-}
-
-}  // namespace
 
 NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
                      std::unique_ptr<Controller> controller)
-    : config_(config),
-      logic_(std::move(logic)),
-      controller_(std::move(controller)) {
-  SKW_EXPECTS(logic_ != nullptr);
+    : EngineCore(std::move(logic), std::move(controller)), config_(config) {
   SKW_EXPECTS(controller_ != nullptr);
   sketch_sink_ = controller_->slab_sink();
   // The boundary summary IS the serialized sketch slab; there is no
@@ -54,7 +25,6 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   SKW_EXPECTS(sketch_sink_ != nullptr);
   num_workers_ = controller_->num_instances();
   SKW_EXPECTS(num_workers_ > 0);
-  engine_epoch_us_ = steady_now_us();
   const auto n = static_cast<std::size_t>(num_workers_);
   pending_batches_.resize(n);
   checkpoints_.assign(n, CheckpointRing(config_.checkpoint_ring_capacity));
@@ -69,6 +39,8 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   if (ok() && !handshake()) {
     SKW_ASSERT(!ok());  // handshake failure went through fail()
   }
+  wire_mark_data_ = wire_bytes_data();
+  wire_mark_ctrl_ = wire_bytes_ctrl();
 }
 
 NetEngine::~NetEngine() { shutdown(); }
@@ -116,7 +88,7 @@ bool NetEngine::spawn_one(std::size_t w, std::string& err) {
     options.heartbeat_interval_ms = config_.heartbeat_interval_ms;
     options.sketch = sketch_sink_->slab_config();
     options.shards = static_cast<std::uint32_t>(sketch_sink_->slab_shards());
-    options.engine_epoch_us = engine_epoch_us_;
+    options.engine_epoch_us = epoch_us_;
     const int rc = run_net_worker(data_fds[1], ctrl_fds[1], options, *logic_);
     // _Exit: the child shares the parent's heap image; running static
     // destructors or flushing duplicated stdio here would corrupt the
@@ -585,34 +557,19 @@ std::size_t NetEngine::live_workers() const {
   return live;
 }
 
-NetIntervalReport NetEngine::ingest(const std::vector<Tuple>& tuples) {
-  NetIntervalReport report;
-  report.interval = interval_;
-  if (!ok() || stopped_) return report;
-  if (!interval_open_) {
-    interval_open_ = true;
-    open_interval_wall_ms_ = 0.0;
-    wire_mark_data_ = wire_bytes_data();
-    wire_mark_ctrl_ = wire_bytes_ctrl();
-  }
-  WallTimer timer;
+std::uint64_t NetEngine::route(const std::vector<Tuple>& tuples) {
+  if (!ok() || stopped_) return 0;
+  std::uint64_t routed = 0;
   for (Tuple t : tuples) {
-    t.emit_micros = steady_now_us() - engine_epoch_us_;
+    t.emit_micros = stamp();
     route_tuple(t);
-    if (!ok()) return report;
-    ++report.emitted;
+    if (!ok()) break;
+    ++routed;
   }
-  total_emitted_ += report.emitted;
-  open_interval_wall_ms_ += timer.elapsed_millis();
-  report.wall_ms = open_interval_wall_ms_;
-  return report;
+  return routed;
 }
 
-bool NetEngine::absorb_summaries(std::uint64_t epoch,
-                                 NetIntervalReport& report) {
-  double latency_sum = 0.0;
-  std::uint64_t latency_n = 0;
-  std::vector<double> worker_cost(workers_.size(), 0.0);
+bool NetEngine::absorb_summaries(std::uint64_t epoch, BoundaryTally& tally) {
   std::vector<std::uint8_t> summary_buf;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
@@ -695,39 +652,18 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch,
       fail("corrupt boundary summary from worker " + std::to_string(w));
       return false;
     }
-    const WorkerSketchSlab::IntervalScalars& sc = scratch_slab_->scalars();
-    report.processed += sc.processed;
-    latency_sum += sc.latency_sum_us;
-    latency_n += sc.latency_samples;
-    worker_cost[w] = scratch_slab_->total_cost();
-    report.stats_memory_bytes += scratch_slab_->memory_bytes();
-    // Worker-index order — the same fixed absorb order as the threaded
-    // engine's boundary merge, and for the same reason: the merged
-    // window must be byte-identical no matter which worker's summary
-    // crossed the wire first. Worker w IS instance w (cold-residual
-    // attribution).
-    WallTimer merge_timer;
-    sketch_sink_->absorb_slab(*scratch_slab_, static_cast<InstanceId>(w));
-    report.merge_ms += merge_timer.elapsed_millis();
+    // Worker-index order, whichever summary crossed the wire first.
+    tally.absorb(w, *scratch_slab_, *sketch_sink_);
     summary_buf.clear();
   }
-  report.avg_latency_ms =
-      latency_n > 0 ? latency_sum / static_cast<double>(latency_n) / 1000.0
-                    : 0.0;
-  report.max_theta = max_theta_of(worker_cost);
   return true;
 }
 
 bool NetEngine::execute_migration(const RebalancePlan& plan,
-                                  NetIntervalReport& report) {
+                                  IntervalReport& report) {
   const auto n = static_cast<std::size_t>(num_workers_);
-  std::vector<std::vector<KeyId>> by_source(n);
-  for (const KeyMove& mv : plan.moves) {
-    by_source[static_cast<std::size_t>(mv.from)].push_back(mv.key);
-  }
-  std::unordered_map<KeyId, InstanceId> dest_of;
-  dest_of.reserve(plan.moves.size());
-  for (const KeyMove& mv : plan.moves) dest_of.emplace(mv.key, mv.to);
+  const MigrationRoutes routes = group_moves(plan, num_workers_);
+  const auto& by_source = routes.by_source;
 
   const auto send_extract = [&](std::size_t w) -> bool {
     frame_scratch_.clear();
@@ -797,8 +733,7 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
         continue;
       }
       for (WireKeyState& wire : extracted) {
-        const auto it = dest_of.find(wire.key);
-        if (it == dest_of.end()) {
+        if (routes.dest_of.count(wire.key) == 0) {
           fail("Migrated key not in the plan from worker " +
                std::to_string(w));
           return false;
@@ -886,8 +821,7 @@ bool NetEngine::broadcast_heavy_set() {
 }
 
 bool NetEngine::broadcast_expire() {
-  last_expire_watermark_ =
-      (interval_ + 1 - config_.expire_lag_intervals) * 1'000'000;
+  last_expire_watermark_ = expire_watermark(config_.expire_lag_intervals);
   expire_sent_ = true;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
@@ -903,21 +837,14 @@ bool NetEngine::broadcast_expire() {
   return true;
 }
 
-void NetEngine::finish_interval(NetIntervalReport& report) {
-  if (!ok() || stopped_) return;
-  if (!interval_open_) {
-    // finish without ingest: an empty interval still seals and rolls.
-    wire_mark_data_ = wire_bytes_data();
-    wire_mark_ctrl_ = wire_bytes_ctrl();
-  }
-  WallTimer timer;
+void NetEngine::seal() {
+  const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
   // Scheduled driver-side kills fire at the boundary's entry — the
   // hardest point in the protocol to lose a worker, since the epoch's
   // batches are in flight and its summary is owed.
-  inject_kills(static_cast<std::uint64_t>(interval_) + 1);
+  inject_kills(epoch);
   flush_batches();
   if (!ok()) return;
-  const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
   // Seal on CTRL: even with the data sockets full to the brim, the seal
   // is written to an empty buffer and read with priority — control never
   // waits behind data.
@@ -936,16 +863,17 @@ void NetEngine::finish_interval(NetIntervalReport& report) {
       }
     }
   }
-  if (!absorb_summaries(epoch, report)) return;
-  if (auto plan = controller_->end_interval()) {
-    report.migrated = true;
-    report.moves = plan->moves.size();
-    report.migration_bytes = plan->migration_bytes;
-    report.generation_micros = plan->generation_micros;
+}
+
+void NetEngine::close(IntervalReport& report) {
+  BoundaryTally tally(workers_.size());
+  if (!absorb_summaries(static_cast<std::uint64_t>(interval_) + 1, tally)) {
+    return;
+  }
+  tally.report_into(report);
+  if (auto plan = plan_boundary(report)) {
     if (!execute_migration(*plan, report)) return;
   }
-  report.max_theta = controller_->last_observed_theta();
-  report.stats_memory_bytes += controller_->stats_memory_bytes();
   // The roll just promoted/demoted: broadcast the post-roll heavy set so
   // the next interval's hot keys accumulate exactly in the worker slabs.
   // Written before any next-interval batch, drained by the workers
@@ -961,65 +889,19 @@ void NetEngine::finish_interval(NetIntervalReport& report) {
   }
   report.recoveries = recoveries_;
   report.degraded = degraded_;
-  const double seg = timer.elapsed_millis();
-  report.stall_ms = seg;
-  report.wall_ms = open_interval_wall_ms_ + seg;
-  report.throughput_tps = report.wall_ms > 0.0
-                              ? static_cast<double>(report.processed) /
-                                    (report.wall_ms / 1000.0)
-                              : 0.0;
   const std::uint64_t data_now = wire_bytes_data();
   const std::uint64_t ctrl_now = wire_bytes_ctrl();
   report.data_wire_bytes =
       data_now >= wire_mark_data_ ? data_now - wire_mark_data_ : 0;
   report.ctrl_wire_bytes =
       ctrl_now >= wire_mark_ctrl_ ? ctrl_now - wire_mark_ctrl_ : 0;
-  controller_->note_boundary(report.merge_ms, report.stall_ms);
-  total_processed_ += report.processed;
-  interval_open_ = false;
-  open_interval_wall_ms_ = 0.0;
-  ++interval_;
+  wire_mark_data_ = data_now;
+  wire_mark_ctrl_ = ctrl_now;
 }
 
-NetIntervalReport NetEngine::run_interval(const std::vector<Tuple>& tuples) {
-  NetIntervalReport report = ingest(tuples);
-  finish_interval(report);
-  return report;
-}
-
-std::vector<NetIntervalReport> NetEngine::run(WorkloadSource& source,
-                                              int intervals,
-                                              std::uint64_t seed) {
-  std::vector<NetIntervalReport> reports;
-  reports.reserve(static_cast<std::size_t>(intervals));
-  Xoshiro256 rng(seed);
-
-  // Identical expansion + shuffle to ThreadedEngine::run — the
-  // byte-identity contract starts with identical tuple sequences, so the
-  // RNG must be consumed in exactly the same order.
-  const auto expand = [&](std::vector<Tuple>& tuples) {
-    const IntervalWorkload load = source.next_interval();
-    tuples.clear();
-    tuples.reserve(static_cast<std::size_t>(load.total()));
-    for (std::size_t k = 0; k < load.counts.size(); ++k) {
-      for (std::uint64_t c = 0; c < load.counts[k]; ++c) {
-        Tuple t;
-        t.key = static_cast<KeyId>(k);
-        t.value = static_cast<std::int64_t>(c);
-        tuples.push_back(t);
-      }
-    }
-    for (std::size_t j = tuples.size(); j > 1; --j) {
-      std::swap(tuples[j - 1], tuples[rng.next_below(j)]);
-    }
-  };
-
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < intervals && ok(); ++i) {
-    expand(tuples);
-    reports.push_back(run_interval(tuples));
-  }
-  return reports;
+void NetEngine::finish_interval(IntervalReport& report) {
+  begin_boundary();
+  finish_boundary(report);
 }
 
 double NetEngine::broadcast_plan(const RebalancePlan& plan,
@@ -1088,7 +970,7 @@ void NetEngine::shutdown() {
       bool pending = false;
       for (const auto& b : pending_batches_) pending |= !b.empty();
       if (!pending) break;
-      NetIntervalReport tail;
+      IntervalReport tail;
       finish_interval(tail);
     }
   }

@@ -14,20 +14,23 @@
 //     the socket translation of the force_push lesson from the
 //     in-process engine.
 //
-// Epoch protocol (mirrors ThreadedEngine's inline boundary):
+// Epoch protocol — the shared engine core's interval loop
+// (engine/engine_core.h) over sockets:
 //   1. the driver routes the interval's tuples as kBatch frames, counting
 //      frames per worker;
-//   2. at the boundary it sends each worker kSeal{epoch, batch count} on
-//      ctrl — the worker seals only after processing exactly that many
-//      batches, which re-establishes cross-channel ordering by content;
-//   3. each worker serializes its WorkerSketchSlab and ships it back as
-//      the kSummary boundary payload (O(sketch), never O(|K|)), followed
-//      by a kCheckpoint snapshot of its key states when recovery is on;
-//   4. the driver absorbs the summaries IN WORKER-INDEX ORDER into the
-//      controller's SketchStatsWindow — the same fixed order as the
-//      in-process merge, which is what makes a net run byte-identical to
-//      a ThreadedEngine run on the same seed: identical plans, identical
-//      θ trajectory, identical state checksums;
+//   2. at the boundary (seal) it sends each worker kSeal{epoch, batch
+//      count} on ctrl — the worker seals only after processing exactly
+//      that many batches, which re-establishes cross-channel ordering by
+//      content. run() expands the next interval while the workers finish;
+//   3. each worker, running the core's WorkerFold, serializes its slab
+//      and ships it back as the kSummary boundary payload (O(sketch),
+//      never O(|K|)), followed by a kCheckpoint snapshot of its key
+//      states when recovery is on;
+//   4. the driver absorbs the summaries through the core's BoundaryTally
+//      in worker-index order. Same fold, same absorb, same expansion as
+//      the threaded engine, so a net run is byte-identical to a
+//      ThreadedEngine run on the same seed by construction: identical
+//      plans, identical θ trajectory, identical state checksums;
 //   5. rolls/plans via Controller::end_interval, migrates state with
 //      kExtract / kMigrated / kInstall / kInstallAck (the driver forwards
 //      serialized state blobs without materializing them), broadcasts the
@@ -64,16 +67,15 @@
 
 #include "common/types.h"
 #include "core/controller.h"
+#include "engine/engine_core.h"
 #include "engine/operator.h"
 #include "engine/tuple.h"
-#include "engine/workload_source.h"
 #include "net/channel.h"
 #include "net/fault_injector.h"
 #include "net/recovery.h"
 #include "net/wire.h"
 #include "sketch/sharded_worker_slab.h"
 #include "sketch/slab_sink.h"
-#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 
@@ -114,41 +116,7 @@ struct NetConfig {
   std::size_t checkpoint_ring_capacity = 2;
 };
 
-/// Same shape as ThreadedIntervalReport, plus the wire-level byte
-/// counters only a socket engine has.
-struct NetIntervalReport {
-  IntervalId interval = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t processed = 0;
-  double wall_ms = 0.0;
-  double throughput_tps = 0.0;
-  double avg_latency_ms = 0.0;
-  double max_theta = 0.0;
-  bool migrated = false;
-  std::size_t moves = 0;
-  Bytes migration_bytes = 0.0;
-  /// Serialized state payload shipped during migration (every net
-  /// migration is serialized — the bytes are real here).
-  Bytes migration_wire_bytes = 0.0;
-  Micros generation_micros = 0;
-  std::size_t stats_memory_bytes = 0;
-  /// Driver-side time between the interval's last routed tuple and being
-  /// ready to route the next one (seal + summary wait + absorb + plan +
-  /// migration barrier).
-  double stall_ms = 0.0;
-  /// Time absorbing the workers' boundary summaries (decode + absorb).
-  double merge_ms = 0.0;
-  /// Bytes moved on the data / ctrl sockets during this interval (both
-  /// directions, including frame headers).
-  std::uint64_t data_wire_bytes = 0;
-  std::uint64_t ctrl_wire_bytes = 0;
-  /// Cumulative successful crash recoveries at this interval's close.
-  std::uint64_t recoveries = 0;
-  /// True once any worker has been retired (degraded mode).
-  bool degraded = false;
-};
-
-class NetEngine {
+class NetEngine final : public EngineCore {
  public:
   /// Controller mode only, and the controller must be in sketch stats
   /// mode: the boundary summary IS the serialized sketch slab. (A dense
@@ -157,30 +125,17 @@ class NetEngine {
   NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
             std::unique_ptr<Controller> controller);
 
-  ~NetEngine();
-
-  NetEngine(const NetEngine&) = delete;
-  NetEngine& operator=(const NetEngine&) = delete;
-
-  /// Expands + routes `intervals` intervals from `source` with the SAME
-  /// deterministic expansion and shuffle as ThreadedEngine::run — the
-  /// byte-identity contract starts with identical tuple sequences.
-  std::vector<NetIntervalReport> run(WorkloadSource& source, int intervals,
-                                     std::uint64_t seed = 1);
-
-  /// Routes an explicit tuple sequence as one interval and completes the
-  /// boundary before returning.
-  NetIntervalReport run_interval(const std::vector<Tuple>& tuples);
+  ~NetEngine() override;
 
   /// Routes tuples into the open interval WITHOUT closing it (the bench
   /// uses this to saturate the data channel, then probes the control
   /// channel with broadcast_plan before finish_interval).
-  NetIntervalReport ingest(const std::vector<Tuple>& tuples);
+  using EngineCore::ingest;
 
   /// Closes the open interval: seal, summaries, checkpoints, absorb,
   /// plan, migrate, heavy-set broadcast, expiry. Injected kKill faults
   /// scheduled for this epoch fire at entry.
-  void finish_interval(NetIntervalReport& report);
+  void finish_interval(IntervalReport& report);
 
   /// Broadcasts a sparse plan on every worker's CONTROL channel and
   /// waits for all acks. Returns the round-trip wall time in ms, or a
@@ -208,13 +163,8 @@ class NetEngine {
   [[nodiscard]] std::uint64_t state_checksum() const;
   [[nodiscard]] std::size_t total_state_entries() const;
 
-  [[nodiscard]] Controller* controller() { return controller_.get(); }
   [[nodiscard]] InstanceId num_workers() const { return num_workers_; }
 
-  [[nodiscard]] std::uint64_t total_emitted() const { return total_emitted_; }
-  [[nodiscard]] std::uint64_t total_processed() const {
-    return total_processed_;
-  }
   [[nodiscard]] std::uint64_t total_output_tuples() const {
     return total_outputs_;
   }
@@ -281,6 +231,13 @@ class NetEngine {
   void degrade_worker(std::size_t w);
   /// Fires scheduled driver-side kKill events for `epoch`.
   void inject_kills(std::uint64_t epoch);
+  std::uint64_t route(const std::vector<Tuple>& tuples) override;
+  /// Fires the epoch's kKill faults, flushes and broadcasts the seals.
+  void seal() override;
+  /// Summaries, checkpoints, absorb, plan, migrate, heavy-set broadcast,
+  /// expiry.
+  void close(IntervalReport& report) override;
+  [[nodiscard]] bool healthy() const override { return ok() && !stopped_; }
   void route_tuple(const Tuple& tuple);
   void flush_batch(InstanceId d);
   void flush_batches();
@@ -298,17 +255,15 @@ class NetEngine {
   [[nodiscard]] std::string ctrl_failure_reason(std::size_t w,
                                                 CtrlRecv rc) const;
   [[nodiscard]] bool absorb_summaries(std::uint64_t epoch,
-                                      NetIntervalReport& report);
+                                      BoundaryTally& tally);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
-                                       NetIntervalReport& report);
+                                       IntervalReport& report);
   [[nodiscard]] bool broadcast_heavy_set();
   [[nodiscard]] bool broadcast_expire();
   [[nodiscard]] std::uint64_t wire_bytes_data() const;
   [[nodiscard]] std::uint64_t wire_bytes_ctrl() const;
 
   NetConfig config_;
-  std::shared_ptr<OperatorLogic> logic_;
-  std::unique_ptr<Controller> controller_;
   SketchSlabSink* sketch_sink_ = nullptr;
   InstanceId num_workers_ = 0;
   std::vector<Worker> workers_;
@@ -341,13 +296,9 @@ class NetEngine {
   std::vector<std::uint8_t> recv_scratch_;
 
   std::string error_;
-  std::uint64_t total_processed_ = 0;
   std::uint64_t total_outputs_ = 0;
-  std::uint64_t total_emitted_ = 0;
   std::uint64_t final_checksum_ = 0;
   std::size_t final_state_entries_ = 0;
-  IntervalId interval_ = 0;
-  Micros engine_epoch_us_ = 0;
   /// The last broadcast heavy set / expiry watermark — a restored
   /// worker needs both re-delivered before its replay.
   std::vector<KeyId> last_heavy_keys_;
@@ -357,7 +308,7 @@ class NetEngine {
   std::uint64_t recoveries_ = 0;
   bool degraded_ = false;
   double total_recovery_ms_ = 0.0;
-  /// Wire-counter snapshots at the open interval's start (per-interval
+  /// Wire-counter snapshots at the previous interval's close (per-interval
   /// byte deltas in the report).
   std::uint64_t wire_mark_data_ = 0;
   std::uint64_t wire_mark_ctrl_ = 0;
@@ -365,8 +316,6 @@ class NetEngine {
   /// the totals stay monotonic across respawns.
   std::uint64_t wire_retired_data_ = 0;
   std::uint64_t wire_retired_ctrl_ = 0;
-  double open_interval_wall_ms_ = 0.0;
-  bool interval_open_ = false;
   bool stopped_ = false;
 };
 

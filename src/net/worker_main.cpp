@@ -1,41 +1,22 @@
 #include "net/worker_main.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "engine/engine_core.h"
 #include "engine/state.h"
 #include "net/channel.h"
 #include "net/poller.h"
 #include "net/recovery.h"
 #include "net/wire.h"
 #include "sketch/sharded_worker_slab.h"
-#include "sketch/worker_sketch_slab.h"
 
 namespace skewless {
 namespace {
-
-Micros steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Sinks emissions into a plain counter (one thread per process — no
-/// atomics needed).
-class CountingCollector final : public Collector {
- public:
-  explicit CountingCollector(std::uint64_t& counter) : counter_(counter) {}
-  void emit(const Tuple& /*tuple*/) override { ++counter_; }
-
- private:
-  std::uint64_t& counter_;
-};
 
 /// Everything one worker process owns; the protocol handlers below are
 /// methods so the state does not travel through a dozen parameters.
@@ -48,14 +29,7 @@ class NetWorker {
         data_(data_fd),
         ctrl_(ctrl_fd),
         slab_(options.sketch, std::max<std::uint32_t>(1, options.shards)),
-        collector_(outputs_) {
-    // Same initial bucket capacity as the threaded worker's per-batch
-    // scratch map. This is load-bearing for byte-identity: add_batch
-    // folds keys in the map's iteration order, which depends on the
-    // bucket history, so the two engines must grow their maps through
-    // identical rehash points.
-    local_.reserve(256);
-  }
+        fold_(logic, options.engine_epoch_us) {}
 
   int run() {
     if (!handshake()) return kWorkerExitHandshake;
@@ -211,15 +185,15 @@ class NetWorker {
     return kKeepRunning;
   }
 
-  /// Ships the post-seal durable snapshot: counters, the scratch map's
-  /// bucket count (its rehash trajectory is byte-identity relevant), the
-  /// state checksum, and every key state's serialized blob.
+  /// Ships the post-seal durable snapshot: counters, the fold's
+  /// scratch-map bucket count (WorkerFold::local_buckets), the state
+  /// checksum, and every key state's serialized blob.
   int send_checkpoint() {
     CheckpointPayload cp;
     cp.epoch = seal_epoch_;
     cp.processed = processed_;
-    cp.outputs = outputs_;
-    cp.local_buckets = local_.bucket_count();
+    cp.outputs = fold_.outputs();
+    cp.local_buckets = fold_.local_buckets();
     cp.state_checksum = store_.checksum();
     cp.states.reserve(store_.size());
     for (const auto& [key, state] : store_.states()) {
@@ -240,8 +214,8 @@ class NetWorker {
   }
 
   /// Reinstalls a driver-held checkpoint after a respawn: replaces the
-  /// whole store, restores the counters and the scratch map's bucket
-  /// trajectory, and acks so the driver can start the replay.
+  /// whole store, restores the counters and the fold's scratch-map
+  /// bucket count, and acks so the driver can start the replay.
   int handle_restore(ByteReader& in) {
     CheckpointPayload cp;
     if (!decode_checkpoint(in, cp)) {
@@ -259,10 +233,7 @@ class NetWorker {
       store_.install_or_replace(wire.key, std::move(state));
     }
     processed_ = cp.processed;
-    outputs_ = cp.outputs;
-    if (cp.local_buckets > local_.bucket_count()) {
-      local_.rehash(cp.local_buckets);
-    }
+    fold_.restore(cp.outputs, cp.local_buckets);
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
@@ -419,39 +390,13 @@ class NetWorker {
     if (!decode_tuple_batch(in, batch_)) {
       return fail(kWorkerExitCorruptFrame, "decode", "corrupt Batch payload");
     }
-    process_batch();
+    // The shared worker fold: the threaded engine's workers run the same
+    // code, so the slabs match an in-process run's batch for batch.
+    fold_.process(batch_, store_);
+    fold_.fold_into(slab_);
+    processed_ += batch_.size();
     ++epoch_batches_;
     return kKeepRunning;
-  }
-
-  /// Mirrors ThreadedEngine::worker_loop's BatchMsg path exactly — same
-  /// per-batch local aggregation, same slab fold — so a net run's slab
-  /// contents match the in-process run's batch for batch.
-  void process_batch() {
-    const Micros now = steady_now_us();
-    double latency_acc = 0.0;
-    std::uint64_t latency_n = 0;
-    local_.clear();
-    for (const Tuple& t : batch_) {
-      KeyState& state =
-          store_.get_or_create(t.key, [&] { return logic_.make_state(); });
-      const Bytes before = state.bytes();
-      const Cost cost = logic_.process(t, state, collector_);
-      const Bytes delta = std::max(0.0, state.bytes() - before);
-      auto& entry = local_[t.key];
-      entry.cost += cost;
-      entry.state_bytes += delta;
-      ++entry.frequency;
-      latency_acc +=
-          static_cast<double>(now - options_.engine_epoch_us - t.emit_micros);
-      ++latency_n;
-    }
-    processed_ += batch_.size();
-    slab_.add_batch(local_);
-    WorkerSketchSlab::IntervalScalars& sc = slab_.scalars();
-    sc.processed += batch_.size();
-    sc.latency_sum_us += latency_acc;
-    sc.latency_samples += latency_n;
   }
 
   int send_fin() {
@@ -459,7 +404,7 @@ class NetWorker {
     fin.state_checksum = store_.checksum();
     fin.state_entries = store_.size();
     fin.processed = processed_;
-    fin.outputs = outputs_;
+    fin.outputs = fold_.outputs();
     scratch_.clear();
     encode_fin(scratch_, fin);
     if (!ctrl_.send(FrameType::kFin, 0, scratch_)) {
@@ -474,10 +419,8 @@ class NetWorker {
   FrameChannel ctrl_;
   StateStore store_;
   ShardedWorkerSlab slab_;
-  std::uint64_t outputs_ = 0;
+  WorkerFold fold_;
   std::uint64_t processed_ = 0;
-  CountingCollector collector_;
-  std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg> local_;
   std::vector<Tuple> batch_;
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;

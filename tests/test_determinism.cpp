@@ -688,6 +688,89 @@ TEST(Determinism, NetRunIsByteIdenticalToThreadedRun) {
   EXPECT_EQ(threaded.outputs, net.outputs);
 }
 
+// Expiry joins the byte-identity contract: with a one-interval lag every
+// self-join window, and so the probe costs the planner sees, the matches
+// emitted and the state checksums, depends on exactly which tuples each
+// watermark drops. Both engines take the watermark from the same
+// interval starts, so a net run must still match the threaded run.
+TEST(Determinism, NetRunWithExpiryIsByteIdenticalToThreadedRun) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "fork-based engine is not TSan-instrumentable";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "fork-based engine is not TSan-instrumentable";
+#endif
+#endif
+  struct RunResult {
+    std::vector<double> thetas;
+    std::uint64_t plan_digest = 0;
+    std::size_t rebalances = 0;
+    std::uint64_t checksum = 0;
+    std::uint64_t outputs = 0;
+  };
+  const InstanceId kWorkers = 3;
+  const int kIntervals = 5;
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = 2'000;
+  opts.skew = 1.1;
+  opts.tuples_per_interval = 10'000;
+  opts.fluctuation = 0.5;
+  opts.seed = 5;
+  const auto make_controller = [&] {
+    ControllerConfig ccfg;
+    ccfg.planner.theta_max = 0.08;
+    ccfg.stats_mode = StatsMode::kSketch;
+    ccfg.sketch.heavy_capacity = 256;
+    return std::make_unique<Controller>(
+        AssignmentFunction(ConsistentHashRing(kWorkers), 0),
+        std::make_unique<MixedPlanner>(), ccfg, opts.num_keys);
+  };
+  const auto collect = [&](auto& engine, RunResult& out) {
+    ZipfFluctuatingSource source(opts);
+    for (const auto& r : engine.run(source, kIntervals, /*seed=*/3)) {
+      out.thetas.push_back(r.max_theta);
+    }
+    out.plan_digest = engine.controller()->plan_history_digest();
+    out.rebalances = engine.controller()->rebalance_count();
+    engine.shutdown();
+    out.checksum = engine.state_checksum();
+    out.outputs = engine.total_output_tuples();
+  };
+
+  // Threaded first, fully joined before the net engine forks.
+  RunResult threaded;
+  {
+    ThreadedConfig tcfg;
+    tcfg.num_workers = kWorkers;
+    tcfg.batch_size = 64;
+    tcfg.stats_mode = StatsMode::kSketch;
+    tcfg.sketch.heavy_capacity = 256;
+    tcfg.expire_lag_intervals = 1;
+    ThreadedEngine engine(tcfg, std::make_shared<SelfJoinLogic>(),
+                          make_controller());
+    collect(engine, threaded);
+  }
+  RunResult net;
+  {
+    NetConfig ncfg;
+    ncfg.batch_size = 64;
+    ncfg.expire_lag_intervals = 1;
+    NetEngine engine(ncfg, std::make_shared<SelfJoinLogic>(),
+                     make_controller());
+    collect(engine, net);
+    ASSERT_TRUE(engine.ok()) << engine.error();
+  }
+
+  ASSERT_GT(threaded.rebalances, 0u);
+  EXPECT_EQ(threaded.rebalances, net.rebalances);
+  EXPECT_EQ(threaded.plan_digest, net.plan_digest);
+  ASSERT_EQ(threaded.thetas.size(), net.thetas.size());
+  EXPECT_EQ(0, std::memcmp(threaded.thetas.data(), net.thetas.data(),
+                           threaded.thetas.size() * sizeof(double)));
+  EXPECT_EQ(threaded.checksum, net.checksum);
+  EXPECT_EQ(threaded.outputs, net.outputs);
+}
+
 // The sharded controller's headline contract, part 1: a shards=1 run is
 // BYTE-identical to the legacy single-window controller (shards=0) — the
 // ShardedSketchStats S=1 paths all short-circuit to the one window, the

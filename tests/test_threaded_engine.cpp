@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <mutex>
+
 #include "core/planners.h"
 #include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
@@ -194,6 +199,110 @@ TEST(ThreadedEngine, ExpiryMessagesShrinkWindows) {
   engine.shutdown();
   // State entry still exists but its window emptied.
   EXPECT_EQ(engine.total_state_entries(), 1u);
+}
+
+// One expire_before call on one state: its watermark, the newest interval
+// it dropped and the oldest interval it kept.
+struct ExpiryCall {
+  Micros watermark = 0;
+  std::int64_t newest_dropped = -1;
+  std::int64_t oldest_kept = std::numeric_limits<std::int64_t>::max();
+};
+
+struct ExpiryLog {
+  std::mutex mu;
+  std::vector<ExpiryCall> calls;
+};
+
+// Keeps (stamp, interval) per tuple — the interval rides in the tuple's
+// value — and logs what every watermark drops and keeps.
+class IntervalWindowState final : public KeyState {
+ public:
+  explicit IntervalWindowState(ExpiryLog& log) : log_(log) {}
+  [[nodiscard]] Bytes bytes() const override {
+    return 16.0 * static_cast<Bytes>(window_.size());
+  }
+  [[nodiscard]] std::uint64_t checksum() const override { return 0; }
+  void serialize(ByteWriter& /*out*/) const override {}
+  void expire_before(Micros watermark) override {
+    ExpiryCall call;
+    call.watermark = watermark;
+    while (!window_.empty() && window_.front().first < watermark) {
+      call.newest_dropped =
+          std::max(call.newest_dropped, window_.front().second);
+      window_.pop_front();
+    }
+    for (const auto& entry : window_) {
+      call.oldest_kept = std::min(call.oldest_kept, entry.second);
+    }
+    std::lock_guard lock(log_.mu);
+    log_.calls.push_back(call);
+  }
+  void add(const Tuple& t) { window_.emplace_back(t.emit_micros, t.value); }
+
+ private:
+  ExpiryLog& log_;
+  std::deque<std::pair<Micros, std::int64_t>> window_;
+};
+
+class IntervalWindowLogic final : public OperatorLogic {
+ public:
+  explicit IntervalWindowLogic(ExpiryLog& log) : log_(log) {}
+  [[nodiscard]] std::unique_ptr<KeyState> make_state() const override {
+    return std::make_unique<IntervalWindowState>(log_);
+  }
+  [[nodiscard]] std::unique_ptr<KeyState> deserialize_state(
+      ByteReader& /*in*/) const override {
+    return make_state();
+  }
+  Cost process(const Tuple& tuple, KeyState& state,
+               Collector& /*out*/) const override {
+    static_cast<IntervalWindowState&>(state).add(tuple);
+    return 1.0;
+  }
+
+ private:
+  ExpiryLog& log_;
+};
+
+TEST(ThreadedEngine, ExpiryDropsExactlyTheIntervalsOlderThanTheLag) {
+  // Millisecond intervals: the watermark must follow the recorded
+  // interval starts, not assume a fixed interval length.
+  constexpr int kIntervals = 6;
+  ExpiryLog log;
+  ThreadedConfig cfg;
+  cfg.expire_lag_intervals = 1;
+  ThreadedEngine engine(cfg, std::make_shared<IntervalWindowLogic>(log),
+                        make_controller(2, 64, 0.9));
+  for (int interval = 0; interval < kIntervals; ++interval) {
+    std::vector<Tuple> tuples;
+    for (KeyId k = 0; k < 400; ++k) {
+      tuples.push_back(Tuple{k % 64, interval, 0, 0});
+    }
+    engine.run_interval(tuples);
+  }
+  engine.shutdown();
+
+  // One watermark per closed interval, strictly increasing: the k-th
+  // distinct watermark is the one sent when interval k closed.
+  std::vector<Micros> watermarks;
+  for (const ExpiryCall& call : log.calls) watermarks.push_back(call.watermark);
+  std::sort(watermarks.begin(), watermarks.end());
+  watermarks.erase(std::unique(watermarks.begin(), watermarks.end()),
+                   watermarks.end());
+  ASSERT_EQ(watermarks.size(), static_cast<std::size_t>(kIntervals));
+  std::size_t drops = 0;
+  for (const ExpiryCall& call : log.calls) {
+    const auto closed = static_cast<std::int64_t>(
+        std::lower_bound(watermarks.begin(), watermarks.end(),
+                         call.watermark) -
+        watermarks.begin());
+    // Nothing of the just-closed interval expires; everything older does.
+    EXPECT_LT(call.newest_dropped, closed);
+    EXPECT_GE(call.oldest_kept, closed);
+    if (call.newest_dropped >= 0) ++drops;
+  }
+  EXPECT_GT(drops, 0u);
 }
 
 TEST(ThreadedEngine, SerializedMigrationPreservesState) {

@@ -29,6 +29,9 @@ and the dispatched SIMD "kernel_tier"). When both sides carry one of
 those fields and they DIFFER, the file is skipped with a note instead of
 compared: a scalar-vs-avx2 or 2-thread-vs-32-thread comparison measures
 the machines, not the code. Same-tier baselines remain fully enforced.
+The last line names how many files were compared and every skipped file
+with its reason; when nothing was compared it says so instead of
+reporting "no regressions".
 
 Exit status: 0 when no metric regressed, 1 otherwise. Stdlib only.
 """
@@ -95,13 +98,15 @@ def committed_copy(ref, path):
 
 
 def check_file(path, ref):
-    """Returns a list of regression strings for one bench file."""
+    """Returns (regression strings, skip reason) for one bench file; the
+    skip reason is None when the file was compared."""
     with open(path) as f:
         fresh = json.load(f)
     baseline_text = committed_copy(ref, path)
     if baseline_text is None:
-        print("-- %s: no committed baseline at %s, skipping" % (path, ref))
-        return []
+        reason = "no committed baseline at %s" % ref
+        print("-- %s: %s, skipping" % (path, reason))
+        return [], reason
     baseline = json.loads(baseline_text)
 
     for env_key in ENV_KEYS:
@@ -109,12 +114,11 @@ def check_file(path, ref):
         fresh_env = fresh.get(env_key)
         if base_env is not None and fresh_env is not None \
                 and base_env != fresh_env:
-            print(
-                "-- %s: %s differs (baseline %r, fresh %r) -- different "
-                "machine class, skipping" % (path, env_key, base_env,
-                                             fresh_env)
-            )
-            return []
+            reason = "%s differs (baseline %r, fresh %r)" % (
+                env_key, base_env, fresh_env)
+            print("-- %s: %s -- different machine class, skipping"
+                  % (path, reason))
+            return [], reason
 
     fresh_leaves = dict(walk(fresh))
     regressions = []
@@ -146,7 +150,7 @@ def check_file(path, ref):
         "-- %s: %d metrics compared, %d regressed"
         % (path, compared, len(regressions))
     )
-    return regressions
+    return regressions, None
 
 
 def main():
@@ -162,14 +166,29 @@ def main():
         return 1
 
     regressions = []
+    compared = 0
+    skipped = []
     for path in files:
-        regressions.extend(check_file(path, args.ref))
+        found, skip_reason = check_file(path, args.ref)
+        regressions.extend(found)
+        if skip_reason is None:
+            compared += 1
+        else:
+            skipped.append("%s (%s)" % (path, skip_reason))
     for line in regressions:
         print("!! %s" % line, file=sys.stderr)
     if regressions:
-        return 1
-    print("bench trajectory: no regressions vs %s" % args.ref)
-    return 0
+        verdict = "%d regression(s)" % len(regressions)
+    elif compared == 0:
+        verdict = "nothing was compared"
+    else:
+        verdict = "no regressions"
+    summary = "compared %d file(s), skipped %d" % (compared, len(skipped))
+    if skipped:
+        summary += ": " + "; ".join(skipped)
+    print("bench trajectory: %s vs %s" % (verdict, args.ref))
+    print(summary)
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

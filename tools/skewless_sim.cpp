@@ -288,8 +288,71 @@ PlannerPtr make_planner(const std::string& name) {
   return nullptr;
 }
 
-/// Real-thread run: one worker per instance, WordCount operator state,
-/// per-interval CSV from the ThreadedIntervalReport fields.
+/// The controller behind every planner-driven engine run; exits with the
+/// usage text on an unknown planner.
+std::unique_ptr<Controller> make_controller(const Args& args,
+                                            InstanceId instances,
+                                            std::size_t num_keys,
+                                            const char* argv0) {
+  auto planner = make_planner(args.planner);
+  if (planner == nullptr) {
+    std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
+    usage(argv0);
+  }
+  ControllerConfig ccfg;
+  ccfg.planner.theta_max = args.theta;
+  ccfg.planner.max_table_entries = args.amax;
+  ccfg.window = args.window;
+  ccfg.stats_mode = args.stats_mode;
+  ccfg.sketch = args.sketch;
+  ccfg.shards = args.shards;
+  return std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(instances), args.amax),
+      std::move(planner), ccfg, num_keys);
+}
+
+struct RunTotals {
+  double stall_ms = 0.0;
+  double merge_ms = 0.0;
+  std::uint64_t wire_bytes = 0;
+};
+
+/// Per-interval CSV of a threaded or net run. `pinned` is the number of
+/// workers whose core pin took effect (0 with --pin absent, on platforms
+/// without affinity support, and for net worker processes) and `kernel`
+/// the dispatched SIMD tier — constant per run, carried per-row so
+/// downstream CSV tooling keeps one schema. `wire` appends the net
+/// engine's per-interval socket byte columns.
+RunTotals print_reports(const std::vector<IntervalReport>& reports,
+                        int pinned, bool wire) {
+  std::printf(
+      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
+      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
+      "kernel%s\n",
+      wire ? ",data_wire_bytes,ctrl_wire_bytes" : "");
+  RunTotals totals;
+  for (const auto& r : reports) {
+    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s",
+                static_cast<long long>(r.interval), r.throughput_tps,
+                r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
+                r.migration_bytes,
+                static_cast<double>(r.generation_micros) / 1000.0,
+                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned,
+                simd::active_kernels().name);
+    if (wire) {
+      std::printf(",%llu,%llu",
+                  static_cast<unsigned long long>(r.data_wire_bytes),
+                  static_cast<unsigned long long>(r.ctrl_wire_bytes));
+    }
+    std::printf("\n");
+    totals.stall_ms += r.stall_ms;
+    totals.merge_ms += r.merge_ms;
+    totals.wire_bytes += r.data_wire_bytes + r.ctrl_wire_bytes;
+  }
+  return totals;
+}
+
+/// Real-thread run: one worker per instance, WordCount operator state.
 int run_threaded(const Args& args, char* argv0) {
   auto source = make_source(args);
   const std::size_t num_keys = source->num_keys();
@@ -314,51 +377,14 @@ int run_threaded(const Args& args, char* argv0) {
                  args.planner.c_str());
     usage(argv0);
   } else {
-    auto planner = make_planner(args.planner);
-    if (planner == nullptr) {
-      std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
-      usage(argv0);
-    }
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = args.theta;
-    ccfg.planner.max_table_entries = args.amax;
-    ccfg.window = args.window;
-    ccfg.stats_mode = args.stats_mode;
-    ccfg.sketch = args.sketch;
-    ccfg.shards = args.shards;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), ccfg, num_keys);
-    engine =
-        std::make_unique<ThreadedEngine>(tcfg, logic, std::move(controller));
+    engine = std::make_unique<ThreadedEngine>(
+        tcfg, logic, make_controller(args, args.instances, num_keys, argv0));
   }
 
   const auto reports = engine->run(*source, args.intervals, args.seed);
-  // `pinned` is the number of workers whose core pin took effect (0 with
-  // --pin absent or on platforms without affinity support) and `kernel`
-  // the dispatched SIMD tier — constant per run, carried per-row so
-  // downstream CSV tooling keeps one schema.
-  std::printf(
-      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel\n");
-  for (const auto& r : reports) {
-    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s\n",
-                static_cast<long long>(r.interval), r.throughput_tps,
-                r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
-                r.migration_bytes,
-                static_cast<double>(r.generation_micros) / 1000.0,
-                r.stall_ms, r.merge_ms, r.stats_memory_bytes,
-                static_cast<int>(engine->pinned_workers()),
-                simd::active_kernels().name);
-  }
+  const RunTotals totals = print_reports(
+      reports, static_cast<int>(engine->pinned_workers()), false);
   const auto* ctrl = engine->controller();
-  double stall_total = 0.0;
-  double merge_total = 0.0;
-  for (const auto& r : reports) {
-    stall_total += r.stall_ms;
-    merge_total += r.merge_ms;
-  }
   engine->shutdown();
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
@@ -371,8 +397,8 @@ int run_threaded(const Args& args, char* argv0) {
                static_cast<int>(engine->pinned_workers()),
                simd::active_kernels().name, topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
-               numa_support_compiled() ? "on" : "off", stall_total,
-               merge_total);
+               numa_support_compiled() ? "on" : "off", totals.stall_ms,
+               totals.merge_ms);
   if (ctrl != nullptr) {
     std::fprintf(stderr,
                  "# rebalances=%zu total_generation_micros=%lld "
@@ -388,9 +414,7 @@ int run_threaded(const Args& args, char* argv0) {
   return 0;
 }
 
-/// Multi-process run: N forked workers over loopback sockets. Same CSV
-/// schema as the threaded engine (pinned is always 0 — processes are not
-/// pinned) plus the per-interval wire-byte columns only sockets have.
+/// Multi-process run: N forked workers over loopback sockets.
 int run_net(const Args& args, char* argv0) {
   if (args.stats_mode != StatsMode::kSketch) {
     std::fprintf(stderr,
@@ -406,26 +430,10 @@ int run_net(const Args& args, char* argv0) {
                  args.planner.c_str());
     usage(argv0);
   }
-  auto planner = make_planner(args.planner);
-  if (planner == nullptr) {
-    std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
-    usage(argv0);
-  }
   auto source = make_source(args);
-  const std::size_t num_keys = source->num_keys();
   const InstanceId workers =
       args.workers_proc > 0 ? args.workers_proc : args.instances;
-
-  ControllerConfig ccfg;
-  ccfg.planner.theta_max = args.theta;
-  ccfg.planner.max_table_entries = args.amax;
-  ccfg.window = args.window;
-  ccfg.stats_mode = StatsMode::kSketch;
-  ccfg.sketch = args.sketch;
-  ccfg.shards = args.shards;
-  auto controller = std::make_unique<Controller>(
-      AssignmentFunction(ConsistentHashRing(workers), args.amax),
-      std::move(planner), ccfg, num_keys);
+  auto controller = make_controller(args, workers, source->num_keys(), argv0);
 
   NetConfig ncfg;
   ncfg.batch_size = args.batch;
@@ -442,30 +450,8 @@ int run_net(const Args& args, char* argv0) {
   NetEngine engine(ncfg, logic, std::move(controller));
 
   const auto reports = engine.run(*source, args.intervals, args.seed);
-  std::printf(
-      "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel,data_wire_bytes,ctrl_wire_bytes\n");
-  for (const auto& r : reports) {
-    std::printf(
-        "%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,0,%s,%llu,%llu\n",
-        static_cast<long long>(r.interval), r.throughput_tps,
-        r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
-        r.migration_bytes, static_cast<double>(r.generation_micros) / 1000.0,
-        r.stall_ms, r.merge_ms, r.stats_memory_bytes,
-        simd::active_kernels().name,
-        static_cast<unsigned long long>(r.data_wire_bytes),
-        static_cast<unsigned long long>(r.ctrl_wire_bytes));
-  }
+  const RunTotals totals = print_reports(reports, 0, true);
   const auto* ctrl = engine.controller();
-  double stall_total = 0.0;
-  double merge_total = 0.0;
-  std::uint64_t wire_total = 0;
-  for (const auto& r : reports) {
-    stall_total += r.stall_ms;
-    merge_total += r.merge_ms;
-    wire_total += r.data_wire_bytes + r.ctrl_wire_bytes;
-  }
   engine.shutdown();
   if (!engine.ok()) {
     std::fprintf(stderr, "net engine failed: %s\n", engine.error().c_str());
@@ -479,8 +465,8 @@ int run_net(const Args& args, char* argv0) {
                "live_workers=%zu\n",
                static_cast<int>(workers),
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               simd::active_kernels().name, stall_total, merge_total,
-               static_cast<unsigned long long>(wire_total),
+               simd::active_kernels().name, totals.stall_ms, totals.merge_ms,
+               static_cast<unsigned long long>(totals.wire_bytes),
                static_cast<unsigned long long>(engine.state_checksum()),
                engine.total_state_entries(),
                static_cast<unsigned long long>(engine.recoveries()),
@@ -531,24 +517,10 @@ int main(int argc, char** argv) {
         scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
         std::move(source), RoutingMode::kPkg);
   } else {
-    auto planner = make_planner(args.planner);
-    if (planner == nullptr) {
-      std::fprintf(stderr, "unknown planner: %s\n", args.planner.c_str());
-      usage(argv[0]);
-    }
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = args.theta;
-    ccfg.planner.max_table_entries = args.amax;
-    ccfg.window = args.window;
-    ccfg.stats_mode = args.stats_mode;
-    ccfg.sketch = args.sketch;
-    ccfg.shards = args.shards;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(args.instances), args.amax),
-        std::move(planner), ccfg, num_keys);
     engine = std::make_unique<SimEngine>(
         scfg, std::make_unique<UniformCostOperator>(args.tuple_cost_us, 8.0),
-        std::move(source), std::move(controller));
+        std::move(source),
+        make_controller(args, args.instances, num_keys, argv[0]));
   }
 
   std::printf(
