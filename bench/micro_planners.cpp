@@ -2,10 +2,14 @@
 // latency of LLFD-based planners, the compact representation build, and
 // the end-to-end Mixed pass across key-domain sizes. Complements the
 // figure benches with statistically robust single-operation timings.
+// The routing layer is timed too: the ring lookup per key and per
+// 1024-key chunk, and the chunked F(k) evaluation the engines run.
 #include <benchmark/benchmark.h>
 
 #include "baselines/readj.h"
 #include "common/consistent_hash.h"
+#include "common/zipf.h"
+#include "core/assignment.h"
 #include "core/compact.h"
 #include "core/planners.h"
 #include "workload/synthetic.h"
@@ -102,6 +106,65 @@ void BM_HashRingOwner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashRingOwner)->Arg(5)->Arg(10)->Arg(40);
+
+// The router's per-chunk inputs: 64 chunks of kRouteChunk keys drawn from
+// Zipf(1.2) over 1M keys, cycled through.
+constexpr std::size_t kRouteChunk = 1024;
+constexpr std::size_t kRouteChunks = 64;
+
+const std::vector<KeyId>& zipf_route_keys() {
+  static const std::vector<KeyId> keys = [] {
+    const ZipfDistribution zipf(1'000'000, 1.2, true, 13);
+    Xoshiro256 rng(29);
+    std::vector<KeyId> out(kRouteChunk * kRouteChunks);
+    for (KeyId& k : out) k = zipf.sample(rng);
+    return out;
+  }();
+  return keys;
+}
+
+/// ns/key = time per iteration / 1024.
+void BM_HashRingOwnerBatch(benchmark::State& state) {
+  const ConsistentHashRing ring(3, 128);
+  const std::vector<KeyId>& keys = zipf_route_keys();
+  std::vector<InstanceId> out(kRouteChunk);
+  std::size_t chunk = 0;
+  for (auto _ : state) {
+    ring.owner_batch(keys.data() + chunk * kRouteChunk, kRouteChunk,
+                     out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    chunk = (chunk + 1) % kRouteChunks;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRouteChunk));
+}
+BENCHMARK(BM_HashRingOwnerBatch);
+
+/// F(k) per chunk as the engines evaluate it: the routing table's 4
+/// entries (the 4 hottest keys, each moved off its ring owner) probed
+/// first, the ring for the misses. ns/key = time per iteration / 1024.
+void BM_RouteBatch(benchmark::State& state) {
+  AssignmentFunction assignment(ConsistentHashRing(3, 128), 4);
+  const ZipfDistribution zipf(1'000'000, 1.2, true, 13);
+  for (std::uint64_t rank = 0; rank < 4; ++rank) {
+    const KeyId key = zipf.key_at_rank(rank);
+    assignment.apply(key, (assignment.hash_dest(key) + 1) % 3);
+  }
+  const std::vector<KeyId>& keys = zipf_route_keys();
+  std::vector<InstanceId> out(kRouteChunk);
+  std::size_t chunk = 0;
+  for (auto _ : state) {
+    assignment.route_batch(keys.data() + chunk * kRouteChunk, kRouteChunk,
+                           out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    chunk = (chunk + 1) % kRouteChunks;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRouteChunk));
+}
+BENCHMARK(BM_RouteBatch);
 
 }  // namespace
 }  // namespace skewless

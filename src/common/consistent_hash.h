@@ -25,20 +25,23 @@ class ConsistentHashRing {
                               int virtual_nodes = 128,
                               std::uint64_t seed = 0x5eed);
 
-  /// Maps a key to its owning instance. O(log(N * virtual_nodes)).
+  /// Maps a key to its owning instance. Expected O(1): the bucket index
+  /// lands on the first ring point of the hash's bucket and the scan
+  /// passes fewer than one point on average (at most the points sharing
+  /// the bucket).
   [[nodiscard]] InstanceId owner(KeyId key) const;
 
   /// Batched owner(): hashes every key in one vectorized pass
-  /// (SketchKernels::hash64_batch) before the per-key ring searches, so
-  /// the router's expand loop amortizes the hash latency across a chunk.
-  /// out[i] == owner(keys[i]) exactly.
+  /// (SketchKernels::hash64_batch), then does the same expected-O(1)
+  /// bucket lookup per key. out[i] == owner(keys[i]) exactly.
   void owner_batch(const KeyId* keys, std::size_t n, InstanceId* out) const;
 
-  /// Adds one instance (id = current num_instances()). O(V log(NV)).
+  /// Adds one instance (id = current num_instances()). O(NV log(NV)): the
+  /// ring is re-sorted and its bucket index rebuilt once.
   void add_instance();
 
   /// Removes the instance with the highest id. Keys it owned redistribute
-  /// to their ring successors.
+  /// to their ring successors. O(NV log(NV)), like add_instance().
   void remove_last_instance();
 
   [[nodiscard]] InstanceId num_instances() const { return num_instances_; }
@@ -54,9 +57,25 @@ class ConsistentHashRing {
     }
   };
 
+  /// Appends instance `id`'s virtual nodes, unsorted.
   void insert_instance_points(InstanceId id);
+  /// Sorts the ring and rebuilds index_: once per ring change.
+  void rebuild();
+  /// Owner of the first ring point at or after position `h`, wrapping to
+  /// the first point: the point std::lower_bound over the positions
+  /// finds, reached from h's bucket by a short forward scan.
+  [[nodiscard]] InstanceId owner_of_hash(std::uint64_t h) const {
+    std::size_t i = index_[h >> shift_];
+    while (i < ring_.size() && ring_[i].position < h) ++i;
+    return ring_[i == ring_.size() ? 0 : i].instance;
+  }
 
   std::vector<RingPoint> ring_;  // sorted by position
+  /// index_[b] = index of the first ring point whose position is at or
+  /// after bucket b's start (b = top bits of the position). 4–8 buckets
+  /// per point, so a bucket rarely holds more than one point.
+  std::vector<std::uint32_t> index_;
+  int shift_ = 63;
   InstanceId num_instances_;
   int virtual_nodes_;
   std::uint64_t seed_;

@@ -6,26 +6,11 @@ namespace skewless {
 
 void AssignmentFunction::route_batch(const KeyId* keys, std::size_t n,
                                      InstanceId* out) const {
-  table_.lookup_batch(keys, n, out);
-  // Collect table misses and resolve them through ONE batched ring pass.
-  thread_local std::vector<KeyId> miss_keys;
-  thread_local std::vector<std::size_t> miss_idx;
-  thread_local std::vector<InstanceId> miss_out;
-  miss_keys.clear();
-  miss_idx.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out[i] == kNilInstance) {
-      miss_keys.push_back(keys[i]);
-      miss_idx.push_back(i);
-    }
-  }
-  if (!miss_keys.empty()) {
-    miss_out.resize(miss_keys.size());
-    ring_.owner_batch(miss_keys.data(), miss_keys.size(), miss_out.data());
-    for (std::size_t j = 0; j < miss_keys.size(); ++j) {
-      out[miss_idx[j]] = miss_out[j];
-    }
-  }
+  // The ring default for every key in ONE batched pass, then the table's
+  // few entries on top: hashing the rare table hits too is cheaper than
+  // gathering the misses.
+  ring_.owner_batch(keys, n, out);
+  table_.override_batch(keys, n, out);
   if (!survivors_.empty()) {
     // Degraded mode: re-home any destination that points at a retired
     // instance. One predictable post-pass; the common (healthy) case

@@ -31,10 +31,10 @@ class AssignmentFunction {
     return resolve(ring_.owner(key), key);
   }
 
-  /// Batched F(k) over a chunk of keys: table lookups first, then ONE
-  /// vectorized hash pass (ConsistentHashRing::owner_batch) over the
-  /// misses. out[i] == (*this)(keys[i]) exactly — the router's expand
-  /// loop uses this to amortize hashing across a chunk of tuples.
+  /// Batched F(k) over a chunk of keys: ONE vectorized ring pass
+  /// (ConsistentHashRing::owner_batch), then the table entries on top.
+  /// out[i] == (*this)(keys[i]) exactly — the engines' router uses this
+  /// to amortize hashing across a chunk of tuples.
   void route_batch(const KeyId* keys, std::size_t n, InstanceId* out) const;
 
   /// The hash default h(k) regardless of table contents.
@@ -89,6 +89,13 @@ class AssignmentFunction {
       if (retired_[static_cast<std::size_t>(d)] == 0) survivors_.push_back(d);
     }
     SKW_EXPECTS(!survivors_.empty());
+    ++retire_generation_;
+  }
+
+  /// Number of retire() calls so far: a router that computed
+  /// destinations before a change of this count must recompute them.
+  [[nodiscard]] std::uint64_t retire_generation() const {
+    return retire_generation_;
   }
 
   [[nodiscard]] bool is_retired(InstanceId id) const {
@@ -119,6 +126,7 @@ class AssignmentFunction {
   /// lists the rest.
   std::vector<char> retired_;
   std::vector<InstanceId> survivors_;
+  std::uint64_t retire_generation_ = 0;
 };
 
 /// ∆(F, F') — keys whose destination differs between two dense assignments.

@@ -26,14 +26,15 @@ class RoutingTable {
     return it->second;
   }
 
-  /// Batched lookup for the router's expand loop: out[i] gets the entry
-  /// for keys[i], or kNilInstance for keys the table does not hold (the
-  /// caller resolves those through the hash default — see
-  /// AssignmentFunction::route_batch).
-  void lookup_batch(const KeyId* keys, std::size_t n, InstanceId* out) const {
+  /// Batched lookup for the router: overwrites out[i] with the entry for
+  /// keys[i] where the table holds one and leaves the rest (the caller's
+  /// hash default — see AssignmentFunction::route_batch) unchanged.
+  void override_batch(const KeyId* keys, std::size_t n,
+                      InstanceId* out) const {
+    if (entries_.empty()) return;
     for (std::size_t i = 0; i < n; ++i) {
       const auto it = entries_.find(keys[i]);
-      out[i] = it == entries_.end() ? kNilInstance : it->second;
+      if (it != entries_.end()) out[i] = it->second;
     }
   }
 

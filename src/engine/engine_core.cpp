@@ -134,11 +134,73 @@ MigrationRoutes group_moves(const RebalancePlan& plan, InstanceId workers) {
 }
 
 EngineCore::EngineCore(std::shared_ptr<OperatorLogic> logic,
-                       std::unique_ptr<Controller> controller)
+                       std::unique_ptr<Controller> controller,
+                       std::size_t batch_size,
+                       std::optional<ConsistentHashRing> hash_ring)
     : logic_(std::move(logic)),
       controller_(std::move(controller)),
-      epoch_us_(steady_now_us()) {
+      epoch_us_(steady_now_us()),
+      hash_ring_(std::move(hash_ring)),
+      batch_size_(batch_size),
+      route_keys_(kRouteChunk),
+      route_dests_(kRouteChunk) {
   SKW_EXPECTS(logic_ != nullptr);
+  SKW_EXPECTS((controller_ != nullptr) != hash_ring_.has_value());
+  SKW_EXPECTS(batch_size_ > 0);
+  const InstanceId workers = controller_ ? controller_->num_instances()
+                                         : hash_ring_->num_instances();
+  pending_batches_.resize(static_cast<std::size_t>(workers));
+}
+
+void EngineCore::evaluate(const Tuple* tuples, std::size_t n,
+                          InstanceId* out) {
+  for (std::size_t j = 0; j < n; ++j) route_keys_[j] = tuples[j].key;
+  if (controller_) {
+    controller_->assignment().route_batch(route_keys_.data(), n, out);
+  } else {
+    hash_ring_->owner_batch(route_keys_.data(), n, out);
+  }
+}
+
+std::uint64_t EngineCore::route(const std::vector<Tuple>& tuples) {
+  for (std::size_t base = 0; base < tuples.size(); base += kRouteChunk) {
+    const std::size_t n = std::min(kRouteChunk, tuples.size() - base);
+    const Tuple* chunk = tuples.data() + base;
+    InstanceId* const dests = route_dests_.data();
+    evaluate(chunk, n, dests);
+    std::uint64_t generation = retire_generation();
+    const Micros now = stamp();
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto d = static_cast<std::size_t>(dests[j]);
+      auto& batch = pending_batches_[d];
+      batch.push_back(chunk[j]);
+      batch.back().emit_micros = now;
+      if (batch.size() < batch_size_) continue;
+      flush_batch(d);
+      if (!healthy()) return base + j;
+      if (retire_generation() != generation) {
+        // The send retired a worker: re-evaluate F for the rest of the
+        // chunk so none of it lands in the retired worker's batch.
+        generation = retire_generation();
+        evaluate(chunk + j + 1, n - j - 1, dests + j + 1);
+      }
+    }
+  }
+  flush_pending();
+  return tuples.size();
+}
+
+void EngineCore::flush_batch(std::size_t d) {
+  auto& batch = pending_batches_[d];
+  if (batch.empty()) return;
+  send_batch(static_cast<InstanceId>(d), batch);
+  // A batch the transport swapped away would otherwise regrow from zero
+  // capacity through ~log2(batch_size) reallocations.
+  batch.reserve(batch_size_);
+}
+
+void EngineCore::flush_pending() {
+  for (std::size_t d = 0; d < pending_batches_.size(); ++d) flush_batch(d);
 }
 
 void EngineCore::open_interval() {

@@ -14,10 +14,19 @@
 //     mean latency, merge time, statistics memory);
 //   * EngineCore — the interval loop (expansion and shuffle of a workload
 //     source with the seeded RNG, ingest → begin boundary → expand next →
-//     finish boundary), the tuple stamps and expiry watermark, the
+//     finish boundary), the routing path (F(k) per chunk, the pending
+//     per-worker batches), the tuple stamps and expiry watermark, the
 //     controller's plan step and the report's wall/stall/throughput tail.
-// What differs per engine is the transport: how batches reach a worker,
-// how a sealed slab comes back, and how state migrates.
+// What differs per engine is the transport: how a full batch reaches a
+// worker, how a sealed slab comes back, and how state migrates.
+//
+// Routing. route() walks the tuples in chunks of kRouteChunk: one batched
+// F(k) evaluation and one stamp() per chunk, then each tuple joins its
+// worker's pending batch, and a full batch goes to the transport's
+// send_batch(). A stamp thus predates its tuple's enqueue by at most one
+// chunk's routing time. A send may retire a dead worker (the socket
+// engine's degrade); route() then re-evaluates the rest of the chunk, so
+// no tuple joins a retired worker's batch. It stops once healthy() fails.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/consistent_hash.h"
 #include "common/types.h"
 #include "core/controller.h"
 #include "engine/operator.h"
@@ -180,7 +190,8 @@ struct MigrationRoutes {
 
 /// The interval driver both engines derive from. An interval is
 /// ingest() (any number of calls) → begin_boundary() → finish_boundary();
-/// the engine supplies the transport through route(), seal() and close().
+/// the engine supplies the transport through send_batch(), seal() and
+/// close().
 class EngineCore {
  public:
   virtual ~EngineCore() = default;
@@ -208,9 +219,14 @@ class EngineCore {
   }
 
  protected:
-  /// `controller` may be null (the threaded engine's hash-only mode).
+  /// Tuples per F(k) evaluation and per stamp() read in route().
+  static constexpr std::size_t kRouteChunk = 1024;
+
+  /// Routes by `controller`'s assignment, or by `hash_ring` when it is
+  /// null (hash-only mode); sends a pending batch at `batch_size` tuples.
   EngineCore(std::shared_ptr<OperatorLogic> logic,
-             std::unique_ptr<Controller> controller);
+             std::unique_ptr<Controller> controller, std::size_t batch_size,
+             std::optional<ConsistentHashRing> hash_ring = std::nullopt);
 
   /// Routes tuples into the open interval (opening it on first use).
   IntervalReport ingest(const std::vector<Tuple>& tuples);
@@ -222,9 +238,12 @@ class EngineCore {
   /// and throughput_tps.
   void finish_boundary(IntervalReport& report);
 
-  /// Sends `tuples` to the workers, stamping each with stamp(); returns
-  /// how many were routed.
-  virtual std::uint64_t route(const std::vector<Tuple>& tuples) = 0;
+  /// The transport: delivers worker `d`'s batch, emptying `batch` (swap
+  /// or clear) first. It may retire a worker if it re-homes that worker's
+  /// pending batch onto the survivors.
+  virtual void send_batch(InstanceId d, std::vector<Tuple>& batch) = 0;
+  /// Sends every non-empty pending batch, in worker order.
+  void flush_pending();
   /// Closes the epoch on the workers' side (begin_boundary).
   virtual void seal() = 0;
   /// Collects the epoch, plans and migrates (finish_boundary).
@@ -251,9 +270,25 @@ class EngineCore {
   /// Steady-clock origin of every emit stamp.
   const Micros epoch_us_;
   IntervalId interval_ = 0;
+  /// One pending batch per worker, filled by route().
+  std::vector<std::vector<Tuple>> pending_batches_;
 
  private:
   void open_interval();
+  /// Routes `tuples` (see the header comment); returns how many were
+  /// routed before the engine became unhealthy.
+  std::uint64_t route(const std::vector<Tuple>& tuples);
+  /// F(k) for `n` tuples into `out`, in one batched evaluation.
+  void evaluate(const Tuple* tuples, std::size_t n, InstanceId* out);
+  void flush_batch(std::size_t d);
+  [[nodiscard]] std::uint64_t retire_generation() const {
+    return controller_ ? controller_->assignment().retire_generation() : 0;
+  }
+
+  std::optional<ConsistentHashRing> hash_ring_;
+  const std::size_t batch_size_;
+  std::vector<KeyId> route_keys_;  // route() scratch
+  std::vector<InstanceId> route_dests_;
 
   /// Start stamp of every interval opened so far, indexed by interval.
   std::vector<Micros> interval_starts_;

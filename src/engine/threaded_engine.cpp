@@ -42,7 +42,7 @@ bool pin_thread_to_slot(std::thread& thread, unsigned slot) {
 ThreadedEngine::ThreadedEngine(ThreadedConfig config,
                                std::shared_ptr<OperatorLogic> logic,
                                std::unique_ptr<Controller> controller)
-    : EngineCore(std::move(logic), std::move(controller)),
+    : EngineCore(std::move(logic), std::move(controller), config.batch_size),
       config_(config),
       num_workers_(controller_->num_instances()),
       migration_mailbox_(1 << 20) {
@@ -56,11 +56,11 @@ ThreadedEngine::ThreadedEngine(ThreadedConfig config,
 ThreadedEngine::ThreadedEngine(ThreadedConfig config,
                                std::shared_ptr<OperatorLogic> logic,
                                InstanceId num_workers, std::uint64_t ring_seed)
-    : EngineCore(std::move(logic), nullptr),
+    : EngineCore(std::move(logic), nullptr, config.batch_size,
+                 ConsistentHashRing(num_workers, 128, ring_seed)),
       config_(config),
       num_workers_(num_workers),
       migration_mailbox_(1 << 20) {
-  hash_ring_.emplace(num_workers, 128, ring_seed);
   // The key domain is discovered from the stream; the monitor grows on
   // demand (the exact provider via resize_keys, the sketch natively).
   monitor_ = make_stats_provider(config_.stats_mode, 0, 1, config_.sketch);
@@ -76,7 +76,6 @@ void ThreadedEngine::start_workers() {
   queues_.reserve(n);
   stores_.reserve(n);
   stats_.reserve(n);
-  pending_batches_.resize(n);
   drain_scratch_.resize(n);
   pushed_msgs_.resize(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -240,44 +239,20 @@ void ThreadedEngine::worker_loop(InstanceId id) {
   }
 }
 
-void ThreadedEngine::route_chunk(const Tuple* tuples, std::size_t n) {
-  // One batched F(k) evaluation per chunk: the routing-table lookups run
-  // tight, and the table misses' ring hashes go through the vectorized
-  // hash kernel in a single pass (AssignmentFunction::route_batch /
-  // ConsistentHashRing::owner_batch) instead of one scalar mix64 per
-  // tuple on the expand loop's critical path.
-  route_keys_.resize(n);
-  route_dests_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) route_keys_[j] = tuples[j].key;
-  if (controller_) {
-    controller_->assignment().route_batch(route_keys_.data(), n,
-                                          route_dests_.data());
-  } else {
-    hash_ring_->owner_batch(route_keys_.data(), n, route_dests_.data());
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const InstanceId d = route_dests_[j];
-    auto& batch = pending_batches_[static_cast<std::size_t>(d)];
-    batch.push_back(tuples[j]);
-    batch.back().emit_micros = stamp();
-    if (batch.size() >= config_.batch_size) flush_batch(d);
-  }
-}
-
-void ThreadedEngine::flush_batch(InstanceId d) {
-  auto& batch = pending_batches_[static_cast<std::size_t>(d)];
-  if (batch.empty()) return;
-  BatchMsg msg;
-  msg.tuples = std::move(batch);
-  batch.clear();
+void ThreadedEngine::push_msg(InstanceId d, WorkerMsg msg, bool force) {
+  auto& queue = *queues_[static_cast<std::size_t>(d)];
   const bool ok =
-      queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
+      force ? queue.force_push(std::move(msg)) : queue.push(std::move(msg));
+  // A dropped-but-counted message would deadlock the quiescence wait;
+  // push only fails after shutdown() closed the queue.
   SKW_ASSERT(ok);
   ++pushed_msgs_[static_cast<std::size_t>(d)];
 }
 
-void ThreadedEngine::flush_batches() {
-  for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
+void ThreadedEngine::send_batch(InstanceId d, std::vector<Tuple>& batch) {
+  BatchMsg msg;
+  msg.tuples.swap(batch);
+  push_msg(d, std::move(msg));
 }
 
 BoundaryTally ThreadedEngine::drain_worker_stats() {
@@ -421,12 +396,7 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
     auto& keys = routes.by_source[static_cast<std::size_t>(d)];
     if (keys.empty()) continue;
     expected += keys.size();
-    ExtractMsg msg;
-    msg.keys = std::move(keys);
-    const bool ok =
-        queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
-    SKW_ASSERT(ok);
-    ++pushed_msgs_[static_cast<std::size_t>(d)];
+    push_msg(d, ExtractMsg{std::move(keys)});
   }
 
   // Collect the extracted states (workers reach the Extract message after
@@ -462,25 +432,9 @@ Bytes ThreadedEngine::execute_migration(const RebalancePlan& plan) {
   for (InstanceId d = 0; d < num_workers_; ++d) {
     auto& states = by_dest[static_cast<std::size_t>(d)];
     if (states.empty()) continue;
-    InstallMsg msg;
-    msg.states = std::move(states);
-    const bool ok =
-        queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(std::move(msg)));
-    SKW_ASSERT(ok);
-    ++pushed_msgs_[static_cast<std::size_t>(d)];
+    push_msg(d, InstallMsg{std::move(states)});
   }
   return wire_bytes;
-}
-
-std::uint64_t ThreadedEngine::route(const std::vector<Tuple>& tuples) {
-  SKW_EXPECTS(!stopped_);
-  constexpr std::size_t kRouteChunk = 1024;
-  for (std::size_t base = 0; base < tuples.size(); base += kRouteChunk) {
-    route_chunk(tuples.data() + base,
-                std::min(kRouteChunk, tuples.size() - base));
-  }
-  flush_batches();
-  return tuples.size();
 }
 
 void ThreadedEngine::seal() {
@@ -492,14 +446,11 @@ void ThreadedEngine::seal() {
   // workers' swapped-in buffers.
   const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
   for (InstanceId d = 0; d < num_workers_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    // force_push: the seal is a control message — blocking behind a full
-    // data queue here would BE the boundary stall this protocol removes
-    // (the driver runs ahead of the workers, so the queues are routinely
-    // at capacity when the interval closes).
-    const bool ok = queues_[di]->force_push(WorkerMsg(SealMsg{epoch}));
-    SKW_ASSERT(ok);
-    ++pushed_msgs_[di];
+    // Forced: the seal is a control message — blocking behind a full data
+    // queue here would BE the boundary stall this protocol removes (the
+    // driver runs ahead of the workers, so the queues are routinely at
+    // capacity when the interval closes).
+    push_msg(d, SealMsg{epoch}, /*force=*/true);
   }
   {
     std::lock_guard lock(merge_mu_);
@@ -552,13 +503,7 @@ void ThreadedEngine::close(IntervalReport& report) {
   if (controller_ && config_.expire_lag_intervals > 0) {
     const Micros watermark = expire_watermark(config_.expire_lag_intervals);
     for (InstanceId d = 0; d < num_workers_; ++d) {
-      ExpireMsg msg{watermark};
-      const bool ok =
-          queues_[static_cast<std::size_t>(d)]->push(WorkerMsg(msg));
-      // A dropped-but-counted message would deadlock the quiescence
-      // wait; push only fails after close(), which cannot happen here.
-      SKW_ASSERT(ok);
-      ++pushed_msgs_[static_cast<std::size_t>(d)];
+      push_msg(d, ExpireMsg{watermark});
     }
   }
 }
@@ -579,7 +524,7 @@ void ThreadedEngine::shutdown() {
     std::lock_guard lock(heavy_mu_);
   }
   heavy_cv_.notify_all();
-  flush_batches();
+  flush_pending();
   for (auto& q : queues_) q->push(WorkerMsg(StopMsg{}));
   for (auto& q : queues_) q->close();
   for (auto& t : workers_) {

@@ -58,12 +58,10 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <variant>
 #include <vector>
 
-#include "common/consistent_hash.h"
 #include "common/queue.h"
 #include "common/types.h"
 #include "core/controller.h"
@@ -232,12 +230,10 @@ class ThreadedEngine final : public EngineCore {
   void start_workers();
   void worker_loop(InstanceId id);
   void merge_loop();
-  /// Routes a chunk of tuples with ONE batched assignment evaluation
-  /// (vectorized hash over the routing-table misses) and stamps each
-  /// tuple's emit time as it lands in its pending batch.
-  void route_chunk(const Tuple* tuples, std::size_t n);
-  void flush_batches();
-  void flush_batch(InstanceId d);
+  /// Pushes `msg` onto worker `d`'s queue — blocking while it is full,
+  /// unless `force` — and counts it for the quiescence wait.
+  void push_msg(InstanceId d, WorkerMsg msg, bool force = false);
+  void send_batch(InstanceId d, std::vector<Tuple>& batch) override;
   /// Returns the serialized payload size (0 when serialization is off).
   Bytes execute_migration(const RebalancePlan& plan);
   /// Inline boundary: tallies every quiescent worker's statistics into
@@ -254,7 +250,6 @@ class ThreadedEngine final : public EngineCore {
   /// Epoch-stamped release-publish of the post-roll heavy set; sealed
   /// workers waiting at their SealMsg barrier install it and resume.
   void publish_heavy_set(std::uint64_t epoch);
-  std::uint64_t route(const std::vector<Tuple>& tuples) override;
   /// Async merge pushes the seals and hands the epoch to the merge
   /// thread; inline/exact modes do nothing yet.
   void seal() override;
@@ -267,7 +262,6 @@ class ThreadedEngine final : public EngineCore {
   }
 
   ThreadedConfig config_;
-  std::optional<ConsistentHashRing> hash_ring_;  // hash-only mode
   InstanceId num_workers_;
 
   std::vector<std::unique_ptr<BoundedMpmcQueue<WorkerMsg>>> queues_;
@@ -293,10 +287,6 @@ class ThreadedEngine final : public EngineCore {
   std::vector<std::unique_ptr<SlabPair>> slabs_;
   BoundedMpmcQueue<ExtractedState> migration_mailbox_;
   std::vector<std::thread> workers_;
-  std::vector<std::vector<Tuple>> pending_batches_;
-  /// route_chunk scratch (driver-only; retained across chunks).
-  std::vector<KeyId> route_keys_;
-  std::vector<InstanceId> route_dests_;
   /// CPU the driver ran start_workers() on (-1 if unknown); the merge
   /// thread prefers allocations from this CPU's NUMA node.
   int driver_cpu_ = -1;

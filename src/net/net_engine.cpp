@@ -17,7 +17,8 @@ namespace skewless {
 
 NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
                      std::unique_ptr<Controller> controller)
-    : EngineCore(std::move(logic), std::move(controller)), config_(config) {
+    : EngineCore(std::move(logic), std::move(controller), config.batch_size),
+      config_(config) {
   SKW_EXPECTS(controller_ != nullptr);
   sketch_sink_ = controller_->slab_sink();
   // The boundary summary IS the serialized sketch slab; there is no
@@ -26,7 +27,6 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   num_workers_ = controller_->num_instances();
   SKW_EXPECTS(num_workers_ > 0);
   const auto n = static_cast<std::size_t>(num_workers_);
-  pending_batches_.resize(n);
   checkpoints_.assign(n, CheckpointRing(config_.checkpoint_ring_capacity));
   replay_.assign(n, ReplayBuffer(config_.replay_max_bytes));
   pending_installs_.resize(n);
@@ -497,19 +497,16 @@ bool NetEngine::recv_ctrl(std::size_t w, FrameType type, FrameHeader& header,
   return true;
 }
 
-void NetEngine::route_tuple(const Tuple& tuple) {
-  const InstanceId d = controller_->assignment()(tuple.key);
-  auto& batch = pending_batches_[static_cast<std::size_t>(d)];
-  batch.push_back(tuple);
-  if (batch.size() >= config_.batch_size) flush_batch(d);
-}
-
-void NetEngine::flush_batch(InstanceId d) {
+void NetEngine::send_batch(InstanceId d, std::vector<Tuple>& batch) {
   const auto di = static_cast<std::size_t>(d);
-  auto& batch = pending_batches_[di];
-  if (batch.empty() || !ok() || workers_[di].dead) return;
+  if (!ok()) return;
+  // The core never routes to a retired worker (degrade re-homes its
+  // pending batch and the core re-evaluates the rest of its chunk).
+  SKW_ASSERT(!workers_[di].dead);
   frame_scratch_.clear();
   encode_tuple_batch(frame_scratch_, batch);
+  // Cleared before the send: a degrade inside it re-homes the recorded
+  // frame below and must not find these tuples pending a second time.
   batch.clear();
   const auto epoch = static_cast<std::uint64_t>(interval_) + 1;
   if (config_.recovery_enabled) {
@@ -527,10 +524,6 @@ void NetEngine::flush_batch(InstanceId d) {
       return;
     }
   }
-}
-
-void NetEngine::flush_batches() {
-  for (InstanceId d = 0; d < num_workers_; ++d) flush_batch(d);
 }
 
 std::uint64_t NetEngine::wire_bytes_data() const {
@@ -555,18 +548,6 @@ std::size_t NetEngine::live_workers() const {
     if (!w.dead) ++live;
   }
   return live;
-}
-
-std::uint64_t NetEngine::route(const std::vector<Tuple>& tuples) {
-  if (!ok() || stopped_) return 0;
-  std::uint64_t routed = 0;
-  for (Tuple t : tuples) {
-    t.emit_micros = stamp();
-    route_tuple(t);
-    if (!ok()) break;
-    ++routed;
-  }
-  return routed;
 }
 
 bool NetEngine::absorb_summaries(std::uint64_t epoch, BoundaryTally& tally) {
@@ -801,37 +782,20 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
   return true;
 }
 
-bool NetEngine::broadcast_heavy_set() {
-  last_heavy_keys_ = sketch_sink_->heavy_keys();
-  heavy_broadcast_done_ = true;
+template <typename Encode>
+bool NetEngine::broadcast_ctrl(FrameType type, std::uint64_t epoch,
+                               const char* what, Encode encode) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (workers_[w].dead) continue;
     // Re-encoded per worker: a recovery inside this loop clobbers
-    // frame_scratch_ (the restore re-sends the heavy set on its own).
+    // frame_scratch_ (the restore re-sends what it needs on its own).
     frame_scratch_.clear();
-    encode_key_list(frame_scratch_, last_heavy_keys_);
-    if (!workers_[w].ctrl.send(FrameType::kHeavySet, 0, frame_scratch_)) {
-      if (!recover_worker(w, "HeavySet send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool NetEngine::broadcast_expire() {
-  last_expire_watermark_ = expire_watermark(config_.expire_lag_intervals);
-  expire_sent_ = true;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
-    frame_scratch_.clear();
-    encode_expire(frame_scratch_, last_expire_watermark_);
-    if (!workers_[w].ctrl.send(FrameType::kExpire, 0, frame_scratch_)) {
-      if (!recover_worker(w, "Expire send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return false;
-      }
+    encode(w);
+    if (!workers_[w].ctrl.send(type, epoch, frame_scratch_) &&
+        !recover_worker(w, std::string(what) + " send failed: " +
+                               workers_[w].ctrl.last_error()) &&
+        !ok()) {
+      return false;
     }
   }
   return true;
@@ -843,26 +807,18 @@ void NetEngine::seal() {
   // hardest point in the protocol to lose a worker, since the epoch's
   // batches are in flight and its summary is owed.
   inject_kills(epoch);
-  flush_batches();
+  flush_pending();
   if (!ok()) return;
   // Seal on CTRL: even with the data sockets full to the brim, the seal
   // is written to an empty buffer and read with priority — control never
   // waits behind data.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead) continue;
+  (void)broadcast_ctrl(FrameType::kSeal, epoch, "Seal", [&](std::size_t w) {
     // Marked before the send: if the send (or anything after it) kills
     // the worker, the restore re-arms the seal. Never re-sent here — a
     // double seal would arm a stale batch target.
     workers_[w].seal_sent = true;
-    frame_scratch_.clear();
     encode_seal(frame_scratch_, SealPayload{workers_[w].batches_sent});
-    if (!workers_[w].ctrl.send(FrameType::kSeal, epoch, frame_scratch_)) {
-      if (!recover_worker(w, "Seal send failed: " +
-                                 workers_[w].ctrl.last_error())) {
-        if (!ok()) return;
-      }
-    }
-  }
+  });
 }
 
 void NetEngine::close(IntervalReport& report) {
@@ -878,9 +834,19 @@ void NetEngine::close(IntervalReport& report) {
   // the next interval's hot keys accumulate exactly in the worker slabs.
   // Written before any next-interval batch, drained by the workers
   // before any next-interval batch (ctrl priority).
-  if (!broadcast_heavy_set()) return;
+  last_heavy_keys_ = sketch_sink_->heavy_keys();
+  heavy_broadcast_done_ = true;
+  const auto heavy = [&](std::size_t) {
+    encode_key_list(frame_scratch_, last_heavy_keys_);
+  };
+  if (!broadcast_ctrl(FrameType::kHeavySet, 0, "HeavySet", heavy)) return;
   if (config_.expire_lag_intervals > 0) {
-    if (!broadcast_expire()) return;
+    last_expire_watermark_ = expire_watermark(config_.expire_lag_intervals);
+    expire_sent_ = true;
+    const auto expire = [&](std::size_t) {
+      encode_expire(frame_scratch_, last_expire_watermark_);
+    };
+    if (!broadcast_ctrl(FrameType::kExpire, 0, "Expire", expire)) return;
   }
   if (!config_.recovery_enabled) {
     // With recovery on this reset happens per worker at checkpoint
@@ -976,7 +942,7 @@ void NetEngine::shutdown() {
   }
   stopped_ = true;
   if (ok()) {
-    flush_batches();
+    flush_pending();
     for (std::size_t w = 0; w < workers_.size() && ok(); ++w) {
       if (workers_[w].dead) continue;
       frame_scratch_.clear();

@@ -59,7 +59,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <sys/types.h>
 #include <unordered_set>
@@ -231,16 +230,15 @@ class NetEngine final : public EngineCore {
   void degrade_worker(std::size_t w);
   /// Fires scheduled driver-side kKill events for `epoch`.
   void inject_kills(std::uint64_t epoch);
-  std::uint64_t route(const std::vector<Tuple>& tuples) override;
+  /// Encodes the batch as a kBatch frame, records it for replay and
+  /// sends it; a failed send recovers the worker (or degrades it away).
+  void send_batch(InstanceId d, std::vector<Tuple>& batch) override;
   /// Fires the epoch's kKill faults, flushes and broadcasts the seals.
   void seal() override;
   /// Summaries, checkpoints, absorb, plan, migrate, heavy-set broadcast,
   /// expiry.
   void close(IntervalReport& report) override;
   [[nodiscard]] bool healthy() const override { return ok() && !stopped_; }
-  void route_tuple(const Tuple& tuple);
-  void flush_batch(InstanceId d);
-  void flush_batches();
   /// One bounded ctrl receive from worker `w`. Skips heartbeat frames
   /// (each restarts the deadline and marks liveness). Never calls
   /// fail() — callers decide between recovery and fail-stop.
@@ -258,8 +256,11 @@ class NetEngine final : public EngineCore {
                                       BoundaryTally& tally);
   [[nodiscard]] bool execute_migration(const RebalancePlan& plan,
                                        IntervalReport& report);
-  [[nodiscard]] bool broadcast_heavy_set();
-  [[nodiscard]] bool broadcast_expire();
+  /// Sends one ctrl frame, written by encode(w), to every live worker,
+  /// recovering a worker whose send fails. False once the engine failed.
+  template <typename Encode>
+  [[nodiscard]] bool broadcast_ctrl(FrameType type, std::uint64_t epoch,
+                                    const char* what, Encode encode);
   [[nodiscard]] std::uint64_t wire_bytes_data() const;
   [[nodiscard]] std::uint64_t wire_bytes_ctrl() const;
 
@@ -267,7 +268,6 @@ class NetEngine final : public EngineCore {
   SketchSlabSink* sketch_sink_ = nullptr;
   InstanceId num_workers_ = 0;
   std::vector<Worker> workers_;
-  std::vector<std::vector<Tuple>> pending_batches_;
   /// A state kInstall-ed into a worker since its last checkpoint (a
   /// restore must re-deliver it — the checkpoint predates it). Tagged
   /// with the epoch of the boundary that sent it: a checkpoint for

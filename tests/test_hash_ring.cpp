@@ -105,6 +105,55 @@ TEST(ConsistentHashRing, SingleInstanceOwnsEverything) {
   for (KeyId k = 0; k < 100; ++k) EXPECT_EQ(ring.owner(k), 0);
 }
 
+constexpr KeyId kDigestKeys = 1'000'000;
+
+std::uint64_t owner_digest(const ConsistentHashRing& ring) {
+  std::uint64_t acc = 0;
+  for (KeyId k = 0; k < kDigestKeys; ++k) {
+    acc = mix64(acc ^ static_cast<std::uint64_t>(ring.owner(k)));
+  }
+  return acc;
+}
+
+// Expects owner_batch == owner on every key of [0, kDigestKeys).
+void expect_batch_matches_owner(const ConsistentHashRing& ring) {
+  std::vector<KeyId> keys(kDigestKeys);
+  for (KeyId k = 0; k < kDigestKeys; ++k) keys[k] = k;
+  std::vector<InstanceId> out(keys.size());
+  ring.owner_batch(keys.data(), keys.size(), out.data());
+  std::size_t mismatches = 0;
+  for (KeyId k = 0; k < kDigestKeys; ++k) {
+    if (out[k] != ring.owner(k)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// Golden owner(k) digests over k in [0, 1M), recorded from the
+// binary-search ring (std::lower_bound over the sorted positions, first
+// point on a wrap). The bucket index must place every key identically.
+TEST(ConsistentHashRing, OwnerMatchesBinarySearchGoldens) {
+  EXPECT_EQ(owner_digest(ConsistentHashRing(3, 128, 0x5eed)),
+            0x2a714b8cfe33905dULL);
+  EXPECT_EQ(owner_digest(ConsistentHashRing(10, 128, 7)),
+            0x6d773e7429d98890ULL);
+  EXPECT_EQ(owner_digest(ConsistentHashRing(40, 16, 1)),
+            0x32f5111af26ec563ULL);
+  expect_batch_matches_owner(ConsistentHashRing(40, 16, 1));
+}
+
+TEST(ConsistentHashRing, IndexFollowsAddAndRemove) {
+  ConsistentHashRing ring(10, 128, 7);
+  ring.add_instance();
+  EXPECT_EQ(owner_digest(ring), 0xeaa04466b580057cULL);
+  expect_batch_matches_owner(ring);
+  ring.remove_last_instance();
+  EXPECT_EQ(owner_digest(ring), 0x6d773e7429d98890ULL);
+  expect_batch_matches_owner(ring);
+  ring.remove_last_instance();
+  EXPECT_EQ(owner_digest(ring), 0xee29ed8f4edf8a7bULL);
+  expect_batch_matches_owner(ring);
+}
+
 class RingBalanceParam : public ::testing::TestWithParam<InstanceId> {};
 
 TEST_P(RingBalanceParam, EveryInstanceOwnsSomeKeys) {

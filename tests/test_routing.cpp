@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/assignment.h"
 #include "core/routing_table.h"
 
@@ -87,6 +89,25 @@ TEST(AssignmentFunction, MaterializeMatchesPointEvaluation) {
   const auto dense = f.materialize(100);
   for (KeyId k = 0; k < 100; ++k) {
     EXPECT_EQ(dense[static_cast<std::size_t>(k)], f(k));
+  }
+}
+
+TEST(AssignmentFunction, RouteBatchMatchesPointEvaluation) {
+  AssignmentFunction f(ConsistentHashRing(5, 128, 2), 0);
+  f.table().set(3, 4);
+  f.table().set(17, 0);
+  f.table().set(4'000, f.hash_dest(4'000));  // an entry equal to h(k)
+  std::vector<KeyId> keys(5'000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<KeyId>((i * 7) % 4'099);
+  }
+  std::vector<InstanceId> out(keys.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) f.retire(4);  // degraded: retired destinations re-home
+    f.route_batch(keys.data(), keys.size(), out.data());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(out[i], f(keys[i])) << "key " << keys[i] << " pass " << pass;
+    }
   }
 }
 
