@@ -53,6 +53,23 @@ class ByteWriter {
   /// per-frame writer allocates nothing in steady state.
   void clear() { bytes_.clear(); }
 
+  /// Overwrites a u32 written earlier at `offset`: fills in a count or
+  /// length prefix reserved before its content was known, so a
+  /// variable-length record serializes straight into the frame.
+  void patch_u32(std::size_t offset, std::uint32_t v) {
+    patch_raw(offset, &v, sizeof(v));
+  }
+  void patch_u64(std::size_t offset, std::uint64_t v) {
+    patch_raw(offset, &v, sizeof(v));
+  }
+
+  /// Drops everything past the first `size` bytes (undoes a record
+  /// written speculatively).
+  void truncate(std::size_t size) {
+    SKW_EXPECTS(size <= bytes_.size());
+    bytes_.resize(size);
+  }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return bytes_;
   }
@@ -63,6 +80,11 @@ class ByteWriter {
   void append_raw(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + n);
+  }
+
+  void patch_raw(std::size_t offset, const void* data, std::size_t n) {
+    SKW_EXPECTS(offset <= bytes_.size() && n <= bytes_.size() - offset);
+    std::memcpy(bytes_.data() + offset, data, n);
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -109,6 +131,16 @@ class ByteReader {
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
     return true;
+  }
+
+  /// Skips `n` bytes and returns a pointer to them (a view into the
+  /// input, valid while it lives). Checked mode returns nullptr when
+  /// fewer than `n` bytes remain.
+  const std::uint8_t* view(std::size_t n) {
+    if (!require(n)) return nullptr;
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   /// Checked-mode guard for length-prefixed containers: true when

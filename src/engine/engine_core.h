@@ -94,6 +94,9 @@ struct IntervalReport {
   /// including frame headers).
   std::uint64_t data_wire_bytes = 0;
   std::uint64_t ctrl_wire_bytes = 0;
+  /// Socket engine only: the part of ctrl_wire_bytes that was this
+  /// boundary's checkpoint payloads (the workers' deltas).
+  std::uint64_t checkpoint_wire_bytes = 0;
   /// Socket engine only: cumulative successful crash recoveries at this
   /// interval's close.
   std::uint64_t recoveries = 0;

@@ -17,6 +17,22 @@
 
 namespace skewless {
 
+/// How a state's serialize() bytes now relate to the bytes it serialized
+/// at its last mark_checkpoint() (KeyState::checkpoint_delta).
+enum class StateDelta : std::uint8_t {
+  kFull,       // no description: the caller ships serialize() in full
+  kUnchanged,  // serialize() would write exactly the marked bytes
+  kSplice,     // serialize() == head ‖ marked[keep_from, keep_to) ‖ tail
+};
+
+/// Layout of a kSplice delta. The state appends head then tail to the
+/// caller's writer, back to back; the first head_bytes are the head.
+struct StateSplice {
+  std::uint64_t head_bytes = 0;
+  std::uint64_t keep_from = 0;
+  std::uint64_t keep_to = 0;
+};
+
 class KeyState {
  public:
   virtual ~KeyState() = default;
@@ -37,6 +53,26 @@ class KeyState {
   /// Drops window content older than the watermark (no-op for
   /// non-windowed states).
   virtual void expire_before(Micros /*watermark*/) {}
+
+  // --- incremental checkpoints (optional) ---
+  // A socket-engine worker checkpoints every epoch. A state that can say
+  // what changed since the last checkpoint lets the worker ship only
+  // that; the default ships serialize() in full, so a state that
+  // implements neither method stays correct.
+
+  /// Takes the current serialize() bytes as the baseline of the next
+  /// checkpoint_delta().
+  virtual void mark_checkpoint() {}
+
+  /// Describes serialize() against the bytes at the last
+  /// mark_checkpoint(). kSplice: appends the head, then the tail, to
+  /// `out` and fills `splice` (keep_from <= keep_to <= the marked size).
+  /// kUnchanged and kFull write nothing. A state never marked — fresh,
+  /// deserialized or installed — must answer kFull.
+  [[nodiscard]] virtual StateDelta checkpoint_delta(
+      ByteWriter& /*out*/, StateSplice& /*splice*/) const {
+    return StateDelta::kFull;
+  }
 };
 
 /// Owning map from key to state, local to one task instance. Accessed
@@ -88,6 +124,11 @@ class StateStore {
   }
 
   void clear() { states_.clear(); }
+
+  /// Marks every state as checkpointed (KeyState::mark_checkpoint).
+  void mark_checkpoint() {
+    for (auto& [key, state] : states_) state->mark_checkpoint();
+  }
 
   void expire_before(Micros watermark) {
     for (auto& [key, state] : states_) state->expire_before(watermark);

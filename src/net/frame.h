@@ -29,8 +29,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x4c574b53u;
 /// Bumped on ANY wire-visible change (header layout, frame types,
 /// payload encodings). Mismatched peers refuse each other at the
 /// handshake. v2: fault-tolerance frames (Checkpoint/Restore/RestoreAck/
-/// Heartbeat).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Heartbeat). v3: kCheckpoint carries a delta against the previous
+/// checkpoint.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Hard cap on a single frame's payload. Loopback batches and boundary
 /// summaries are a few MiB at most; anything bigger is a corrupt length
@@ -53,7 +54,7 @@ enum class FrameType : std::uint8_t {
   kPlanAck = 12, // ctrl, worker->driver: plan received (latency probe)
   kStop = 13,    // ctrl, driver->worker: shut down after Fin
   kFin = 14,     // ctrl, worker->driver: final checksums + counters
-  kCheckpoint = 15,  // ctrl, worker->driver: post-seal state checkpoint
+  kCheckpoint = 15,  // ctrl, worker->driver: post-seal checkpoint delta
   kRestore = 16,     // ctrl, driver->worker: reinstall a checkpoint
   kRestoreAck = 17,  // ctrl, worker->driver: checkpoint reinstalled
   kHeartbeat = 18,   // ctrl, worker->driver: epoch-progress liveness beat

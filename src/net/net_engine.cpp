@@ -27,7 +27,7 @@ NetEngine::NetEngine(NetConfig config, std::shared_ptr<OperatorLogic> logic,
   num_workers_ = controller_->num_instances();
   SKW_EXPECTS(num_workers_ > 0);
   const auto n = static_cast<std::size_t>(num_workers_);
-  checkpoints_.assign(n, CheckpointRing(config_.checkpoint_ring_capacity));
+  checkpoints_.resize(n);
   replay_.assign(n, ReplayBuffer(config_.replay_max_bytes));
   pending_installs_.resize(n);
   migrated_away_.resize(n);
@@ -251,26 +251,28 @@ bool NetEngine::recover_worker(std::size_t w, const std::string& why) {
   }
 }
 
-CheckpointPayload NetEngine::effective_checkpoint(std::size_t w) const {
-  CheckpointPayload eff;
-  if (const CheckpointPayload* cp = checkpoints_[w].latest()) eff = *cp;
-  if (!migrated_away_[w].empty()) {
-    std::erase_if(eff.states, [&](const WireKeyState& s) {
-      return migrated_away_[w].count(s.key) > 0;
-    });
+void NetEngine::settle_checkpoint(std::size_t w) {
+  CheckpointStore& store = checkpoints_[w];
+  for (const KeyId key : migrated_away_[w]) store.erase(key);
+  // Later installs of a key win, as in the worker's own install order.
+  for (PendingInstall& p : pending_installs_[w]) {
+    store.put(p.state.key, std::move(p.state.blob));
   }
-  for (const PendingInstall& p : pending_installs_[w]) {
-    eff.states.push_back(p.state);
-  }
-  return eff;
+  migrated_away_[w].clear();
+  pending_installs_[w].clear();
 }
 
 bool NetEngine::restore_worker(std::size_t w) {
   Worker& wk = workers_[w];
-  const CheckpointPayload eff = effective_checkpoint(w);
+  // The effective checkpoint becomes the store's baseline: the restored
+  // worker marks exactly these states, and its next delta is against
+  // them.
+  settle_checkpoint(w);
+  const CheckpointStore& store = checkpoints_[w];
   frame_scratch_.clear();
-  encode_checkpoint(frame_scratch_, eff);
-  if (!wk.ctrl.send(FrameType::kRestore, eff.epoch, frame_scratch_)) {
+  store.encode_restore(frame_scratch_);
+  if (!wk.ctrl.send(FrameType::kRestore, store.counters().epoch,
+                    frame_scratch_)) {
     return false;
   }
   FrameHeader header;
@@ -332,28 +334,27 @@ void NetEngine::degrade_worker(std::size_t w) {
       "net worker %zu retired after %d failed recoveries; degrading onto "
       "%zu survivors",
       w, wk.recover_attempts, live);
-  CheckpointPayload eff = effective_checkpoint(w);
+  settle_checkpoint(w);
+  CheckpointStore& store = checkpoints_[w];
   // No Fin will ever come from this worker: fold the outputs its last
   // checkpoint vouches for here. The open epoch's tuples are re-routed
   // below and re-counted when the survivors seal them.
-  total_outputs_ += eff.outputs;
+  total_outputs_ += store.counters().outputs;
   if (stopped_) {
     // Shutdown-time degrade: there is no next interval to re-home into,
     // so the checkpointed states fold straight into the final tallies
     // (any post-checkpoint tuples are unsealed trailing work, which the
     // interval reports never counted — same as a healthy shutdown).
-    for (const WireKeyState& wire : eff.states) {
-      ByteReader blob(wire.blob, ByteReader::Untrusted{});
-      std::unique_ptr<KeyState> state = logic_->deserialize_state(blob);
-      if (state == nullptr || !blob.ok() || !blob.exhausted()) continue;
+    for (const auto& [key, blob] : store.states()) {
+      ByteReader in(blob, ByteReader::Untrusted{});
+      std::unique_ptr<KeyState> state = logic_->deserialize_state(in);
+      if (state == nullptr || !in.ok() || !in.exhausted()) continue;
       final_checksum_ +=
-          mix64(static_cast<std::uint64_t>(wire.key) ^ state->checksum());
+          mix64(static_cast<std::uint64_t>(key) ^ state->checksum());
       ++final_state_entries_;
     }
     replay_[w].clear();
-    checkpoints_[w].clear();
-    pending_installs_[w].clear();
-    migrated_away_[w].clear();
+    store.clear();
     pending_batches_[w].clear();
     return;
   }
@@ -368,11 +369,11 @@ void NetEngine::degrade_worker(std::size_t w) {
   // consumed transparently later (owed_install_acks_), and the worker's
   // recovery-mode install tolerates a racing fresh state.
   std::vector<std::vector<WireKeyState>> by_dest(n);
-  for (WireKeyState& wire : eff.states) {
-    const auto d =
-        static_cast<std::size_t>(controller_->assignment()(wire.key));
-    by_dest[d].push_back(std::move(wire));
+  for (const auto& [key, blob] : store.states()) {
+    const auto d = static_cast<std::size_t>(controller_->assignment()(key));
+    by_dest[d].push_back(WireKeyState{key, blob});
   }
+  store.clear();
   for (std::size_t d = 0; d < n; ++d) {
     if (by_dest[d].empty()) continue;
     if (workers_[d].dead) continue;  // can't happen post-resolve; belt
@@ -413,9 +414,6 @@ void NetEngine::degrade_worker(std::size_t w) {
   }
   pending_batches_[w].clear();
   replay_[w].clear();
-  checkpoints_[w].clear();
-  pending_installs_[w].clear();
-  migrated_away_[w].clear();
 }
 
 void NetEngine::inject_kills(std::uint64_t epoch) {
@@ -588,10 +586,12 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch, BoundaryTally& tally) {
         summary_buf = recv_scratch_;  // overwrite a pre-crash duplicate
         have_summary = true;
       } else if (header.type == FrameType::kCheckpoint) {
+        // Validated whole before any of it lands: a rejected delta leaves
+        // the stored checkpoint as it was, and the recovery restores it.
         ByteReader in(recv_scratch_, ByteReader::Untrusted{});
-        CheckpointPayload cp;
-        if (!have_summary || !decode_checkpoint(in, cp) || !in.exhausted() ||
-            cp.epoch != epoch) {
+        if (!have_summary || !decode_checkpoint_delta(in, delta_scratch_) ||
+            !in.exhausted() || delta_scratch_.counters.epoch != epoch ||
+            !checkpoints_[w].apply(delta_scratch_)) {
           have_summary = false;
           if (!recover_worker(w, "bad Checkpoint at epoch " +
                                      std::to_string(epoch))) {
@@ -600,7 +600,7 @@ bool NetEngine::absorb_summaries(std::uint64_t epoch, BoundaryTally& tally) {
           }
           continue;
         }
-        checkpoints_[w].push(std::move(cp));
+        checkpoint_bytes_ += recv_scratch_.size();
         // The epoch is durable: its batches are reflected in the
         // checkpoint, migration bookkeeping older than it is stale, and
         // the worker proved forward progress (retry budget refills).
@@ -708,7 +708,7 @@ bool NetEngine::execute_migration(const RebalancePlan& plan,
       if (bad) {
         if (!recover_worker(w, why)) {
           if (!ok()) return false;
-          break;  // degraded: effective_checkpoint re-homed its keys
+          break;  // degraded: its checkpoint re-homed its keys
         }
         need_extract[w] = 1;
         continue;
@@ -855,6 +855,8 @@ void NetEngine::close(IntervalReport& report) {
   }
   report.recoveries = recoveries_;
   report.degraded = degraded_;
+  report.checkpoint_wire_bytes = checkpoint_bytes_;
+  checkpoint_bytes_ = 0;
   const std::uint64_t data_now = wire_bytes_data();
   const std::uint64_t ctrl_now = wire_bytes_ctrl();
   report.data_wire_bytes =

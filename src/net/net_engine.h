@@ -24,8 +24,9 @@
 //      content. run() expands the next interval while the workers finish;
 //   3. each worker, running the core's WorkerFold, serializes its slab
 //      and ships it back as the kSummary boundary payload (O(sketch),
-//      never O(|K|)), followed by a kCheckpoint snapshot of its key
-//      states when recovery is on;
+//      never O(|K|)), followed, when recovery is on, by a kCheckpoint
+//      delta: what each key state changed since the previous checkpoint
+//      (O(what the epoch appended), not O(state));
 //   4. the driver absorbs the summaries through the core's BoundaryTally
 //      in worker-index order. Same fold, same absorb, same expansion as
 //      the threaded engine, so a net run is byte-identical to a
@@ -39,10 +40,14 @@
 // Failure model (recovery_enabled, the default): a worker crash, wedge
 // or corrupt frame is detected by deadline-bounded control receives
 // (heartbeats extend the deadline; EOF/POLLHUP classifies a crash, a
-// timeout classifies a wedge). The driver then respawns the worker with
-// exponential backoff, reinstalls its last checkpoint (adjusted for any
-// migration since), re-broadcasts the heavy set and expiry watermark,
-// replays the open epoch's recorded batches VERBATIM, and re-seals.
+// timeout classifies a wedge). The driver keeps one materialized
+// checkpoint per worker (CheckpointStore): each delta is validated whole,
+// then spliced into it in place. On a failure the driver respawns the
+// worker with exponential backoff, reinstalls that checkpoint (adjusted
+// for any migration since; the result is the store's new baseline and
+// the respawned worker's delta origin), re-broadcasts the heavy set and
+// expiry watermark, replays the open epoch's recorded batches VERBATIM,
+// and re-seals.
 // Because the replayed bytes and control sequence are exactly the lost
 // worker's inputs, a recovered run is byte-identical to a crash-free
 // run: same plan-history digest, same θ bit patterns, same state
@@ -90,8 +95,11 @@ struct NetConfig {
   int data_sndbuf_bytes = 0;
 
   // --- fault tolerance ---
-  /// Checkpoint + replay recovery of crashed workers. Off = the legacy
-  /// fail-stop engine (no checkpoints, no heartbeats, unbounded waits).
+  /// Checkpoint + replay recovery of crashed workers: every epoch each
+  /// worker ships a delta checkpoint, and the driver keeps one
+  /// materialized checkpoint per worker (O(live state), whatever the
+  /// number of epochs). Off = the legacy fail-stop engine (no
+  /// checkpoints, no heartbeats, unbounded waits).
   bool recovery_enabled = true;
   /// Deterministic fault schedule (tests / skewless_sim --fault).
   FaultPlan fault = {};
@@ -111,8 +119,6 @@ struct NetConfig {
   /// routed batches). Overflow makes a crash in that epoch fatal rather
   /// than silently unreplayable.
   std::size_t replay_max_bytes = 256u << 20;
-  /// Checkpoints retained per worker (only latest() is ever restored).
-  std::size_t checkpoint_ring_capacity = 2;
 };
 
 class NetEngine final : public EngineCore {
@@ -178,7 +184,9 @@ class NetEngine final : public EngineCore {
     return total_recovery_ms_;
   }
   [[nodiscard]] std::size_t live_workers() const;
-  [[nodiscard]] const CheckpointRing& checkpoint_ring(std::size_t w) const {
+  /// Worker `w`'s materialized checkpoint: its last durable epoch's
+  /// counters and key states (migrations since are applied at restore).
+  [[nodiscard]] const CheckpointStore& checkpoint_store(std::size_t w) const {
     return checkpoints_[w];
   }
 
@@ -222,9 +230,10 @@ class NetEngine final : public EngineCore {
   /// failed (check ok()).
   [[nodiscard]] bool recover_worker(std::size_t w, const std::string& why);
   [[nodiscard]] bool restore_worker(std::size_t w);
-  /// Latest checkpoint minus keys migrated away since, plus states
-  /// installed since — the state worker `w` is responsible for.
-  [[nodiscard]] CheckpointPayload effective_checkpoint(std::size_t w) const;
+  /// Folds the keys migrated away from worker `w` and the states
+  /// installed into it since its checkpoint into its store, which then
+  /// holds the state `w` is responsible for (the effective checkpoint).
+  void settle_checkpoint(std::size_t w);
   /// Retry budget exhausted: retire `w`, re-home its checkpointed
   /// states and replay tuples onto the survivors.
   void degrade_worker(std::size_t w);
@@ -278,7 +287,7 @@ class NetEngine final : public EngineCore {
   };
 
   /// Per-worker recovery state, indexed like workers_.
-  std::vector<CheckpointRing> checkpoints_;
+  std::vector<CheckpointStore> checkpoints_;
   std::vector<ReplayBuffer> replay_;
   std::vector<std::vector<PendingInstall>> pending_installs_;
   /// Keys kExtract-ed from the worker since its last checkpoint (a
@@ -294,6 +303,11 @@ class NetEngine final : public EngineCore {
   std::unique_ptr<ShardedWorkerSlab> scratch_slab_;
   ByteWriter frame_scratch_;
   std::vector<std::uint8_t> recv_scratch_;
+  /// Reusable decode target for checkpoint deltas (views into
+  /// recv_scratch_).
+  CheckpointDelta delta_scratch_;
+  /// kCheckpoint payload bytes absorbed since the last interval's close.
+  std::uint64_t checkpoint_bytes_ = 0;
 
   std::string error_;
   std::uint64_t total_outputs_ = 0;

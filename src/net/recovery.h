@@ -1,13 +1,13 @@
-// Driver-side recovery state for the socket engine: the bounded
-// per-worker checkpoint ring, the bounded replay buffer of the open
+// Driver-side recovery state for the socket engine: the per-worker
+// materialized checkpoint, the bounded replay buffer of the open
 // epoch's routed batches, and worker exit-status classification. These
 // are plain data structures (unit-tested directly); the recovery
 // PROTOCOL — detect, respawn, restore, replay — lives in NetEngine.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/wire.h"
@@ -28,44 +28,56 @@ inline constexpr int kWorkerExitFault = 5;  // injected fault (tests)
 /// (named) or which signal ended the worker.
 [[nodiscard]] std::string describe_worker_exit(int wait_status);
 
-/// Bounded ring of per-epoch checkpoints for one worker, newest last.
-/// Recovery only ever reinstalls latest(); the ring depth exists so a
-/// checkpoint that arrives corrupt can fall back one epoch without the
-/// driver holding O(epochs) state history.
-class CheckpointRing {
+/// The driver's materialized checkpoint of one worker: the counters of
+/// its last durable epoch and every key's serialized state as opaque
+/// bytes. Each epoch's kCheckpoint delta splices into it in place, so it
+/// holds one copy of the worker's live state whatever the number of
+/// epochs, and a restore ships it as it stands.
+class CheckpointStore {
  public:
-  explicit CheckpointRing(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  /// Validates every record of `delta` against the stored blobs, then
+  /// applies them all. Returns false, with the store unchanged, when a
+  /// key appears twice, a splice names an unknown key or keeps bytes
+  /// past its blob's end, or the resulting state count differs from the
+  /// delta's. Removing an absent key is a no-op: the worker cannot tell
+  /// a key created since its last checkpoint from one in it.
+  [[nodiscard]] bool apply(const CheckpointDelta& delta);
 
-  void push(CheckpointPayload cp) {
-    ring_.push_back(std::move(cp));
-    while (ring_.size() > capacity_) ring_.pop_front();
+  /// Drops `key`'s state (migrated away since the checkpoint).
+  void erase(KeyId key) { states_.erase(key); }
+  /// Sets `key`'s state (installed since the checkpoint), replacing any.
+  void put(KeyId key, std::vector<std::uint8_t> blob) {
+    states_[key] = std::move(blob);
   }
 
-  [[nodiscard]] const CheckpointPayload* latest() const {
-    return ring_.empty() ? nullptr : &ring_.back();
+  /// Writes the counters and every state as a kRestore payload.
+  void encode_restore(ByteWriter& out) const;
+
+  void clear() {
+    states_.clear();
+    counters_ = CheckpointCounters{};
   }
 
-  void clear() { ring_.clear(); }
-
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Approximate resident bytes of the buffered state blobs (the bound
-  /// the ring test asserts never grows with run length).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t total = 0;
-    for (const CheckpointPayload& cp : ring_) {
-      for (const WireKeyState& s : cp.states) {
-        total += sizeof(WireKeyState) + s.blob.size();
-      }
-    }
-    return total;
+  [[nodiscard]] const CheckpointCounters& counters() const {
+    return counters_;
   }
+  [[nodiscard]] const std::unordered_map<KeyId, std::vector<std::uint8_t>>&
+  states() const {
+    return states_;
+  }
+  [[nodiscard]] std::size_t size() const { return states_.size(); }
+
+  /// Resident bytes of the stored blobs (allocated capacity) plus each
+  /// key's map entry.
+  [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  std::deque<CheckpointPayload> ring_;
-  std::size_t capacity_;
+  CheckpointCounters counters_;
+  std::unordered_map<KeyId, std::vector<std::uint8_t>> states_;
+  /// apply() scratch: each record's stored blob (nullptr if absent), and
+  /// the hash set of the delta's keys for the duplicate check.
+  std::vector<std::vector<std::uint8_t>*> targets_;
+  std::vector<KeyId> seen_;
 };
 
 /// Bounded record of the open epoch's routed batches for one worker —

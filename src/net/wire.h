@@ -14,6 +14,7 @@
 #include "common/serde.h"
 #include "common/types.h"
 #include "core/plan.h"
+#include "engine/state.h"
 #include "engine/tuple.h"
 
 namespace skewless {
@@ -86,24 +87,82 @@ void encode_ack(ByteWriter& out, const AckPayload& ack);
 [[nodiscard]] bool decode_ack(ByteReader& in, AckPayload& ack);
 
 // --- kCheckpoint / kRestore -----------------------------------------------
-/// Post-seal worker checkpoint: every counter and state blob a respawned
-/// worker needs to resume the sealed epoch's successor deterministically.
-/// kRestore reuses the same encoding driver -> worker (the driver may
-/// first subtract keys migrated away since the checkpoint and add keys
-/// installed since — the "effective" checkpoint). `local_buckets` is the
-/// worker's per-batch scratch-map bucket count: fold order into the slab
-/// depends on that map's rehash history, so the restore re-establishes it
-/// before replaying (the byte-identity contract under recovery).
-struct CheckpointPayload {
+/// The counters of a worker's durable snapshot: everything besides its
+/// key states that a respawned worker needs to resume the sealed epoch's
+/// successor deterministically. `local_buckets` is the worker's
+/// per-batch scratch-map bucket count: fold order into the slab depends
+/// on that map's rehash history, so the restore re-establishes it before
+/// replaying (the byte-identity contract under recovery).
+struct CheckpointCounters {
   std::uint64_t epoch = 0;
   std::uint64_t processed = 0;
   std::uint64_t outputs = 0;
   std::uint64_t local_buckets = 0;
   std::uint64_t state_checksum = 0;
-  std::vector<WireKeyState> states;
 };
-void encode_checkpoint(ByteWriter& out, const CheckpointPayload& cp);
-[[nodiscard]] bool decode_checkpoint(ByteReader& in, CheckpointPayload& cp);
+
+/// One key's serialized state inside a received payload: a view into the
+/// payload buffer, valid while that buffer is neither freed nor reused.
+struct KeyStateView {
+  KeyId key = 0;
+  const std::uint8_t* blob = nullptr;
+  std::uint32_t size = 0;
+};
+
+/// kRestore (driver -> worker): the driver's materialized checkpoint of
+/// the worker, adjusted for migrations since (the "effective"
+/// checkpoint) — the counters, a u32 state count, then per state
+/// {u64 key, u32 size, blob}. The driver writes the states itself
+/// (encode_key_state), straight from its store.
+void encode_restore_header(ByteWriter& out, const CheckpointCounters& c,
+                           std::uint32_t states);
+void encode_key_state(ByteWriter& out, KeyId key, const std::uint8_t* blob,
+                      std::size_t size);
+[[nodiscard]] bool decode_restore(ByteReader& in, CheckpointCounters& c,
+                                  std::vector<KeyStateView>& states);
+
+/// kCheckpoint (worker -> driver): the post-seal snapshot as a DELTA
+/// against the previous one (or against the restore that respawned the
+/// worker): the counters, the number of key states the worker holds
+/// after it, and one record per key whose serialized bytes changed:
+///   kFull    {u32 size, blob}                    new, replaced, or a
+///                                                state without deltas
+///   kSplice  {u64 keep_from, u64 keep_to, u32 head, u32 tail, bytes}
+///            new blob = head ‖ old[keep_from, keep_to) ‖ tail
+///   kRemoved {}                                  extracted since
+/// Unchanged keys send nothing. The blobs stay opaque to the driver.
+enum class DeltaRecordKind : std::uint8_t {
+  kFull = 0,
+  kSplice = 1,
+  kRemoved = 2,
+};
+
+struct CheckpointDelta {
+  struct Record {
+    KeyId key = 0;
+    DeltaRecordKind kind = DeltaRecordKind::kFull;
+    std::uint64_t keep_from = 0;
+    std::uint64_t keep_to = 0;
+    /// kFull: the blob is the head and the tail is empty.
+    const std::uint8_t* head = nullptr;
+    std::uint32_t head_size = 0;
+    const std::uint8_t* tail = nullptr;
+    std::uint32_t tail_size = 0;
+  };
+  CheckpointCounters counters;
+  std::uint64_t state_entries = 0;
+  /// Views into the decoded payload buffer.
+  std::vector<Record> records;
+};
+
+/// Encodes `store`'s delta since its last StateStore::mark_checkpoint()
+/// straight into `out`. `removed` lists keys extracted since the mark; a
+/// removed key back in the store (reinstalled) is sent in full instead.
+void encode_checkpoint_delta(ByteWriter& out, const CheckpointCounters& c,
+                             const StateStore& store,
+                             const std::vector<KeyId>& removed);
+[[nodiscard]] bool decode_checkpoint_delta(ByteReader& in,
+                                           CheckpointDelta& delta);
 
 // --- kHeartbeat -----------------------------------------------------------
 /// Epoch-progress liveness beat: how many batches of the open epoch the

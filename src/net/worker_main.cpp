@@ -165,12 +165,16 @@ class NetWorker {
 
   /// Seals the epoch once every one of its batches has been processed:
   /// stamps + serializes the slab as the boundary summary, ships it on
-  /// ctrl, and resets for the next epoch.
+  /// ctrl, and resets for the next epoch. With recovery on, the
+  /// checkpoint is encoded before the summary is sent: the driver drains
+  /// the workers' summaries one at a time, so every worker encodes while
+  /// it waits for its turn rather than after it.
   int maybe_seal() {
     if (!seal_pending_ || epoch_batches_ != seal_target_) return kKeepRunning;
     slab_.set_epoch(seal_epoch_);
     scratch_.clear();
     slab_.serialize(scratch_);
+    if (options_.recovery) encode_checkpoint();
     if (!ctrl_.send(FrameType::kSummary, seal_epoch_, scratch_)) {
       return fail(kWorkerExitChannel, "send Summary",
                   ctrl_.last_error().c_str());
@@ -179,67 +183,65 @@ class NetWorker {
     epoch_batches_ = 0;
     seal_pending_ = false;
     if (options_.recovery) {
-      const int rc = send_checkpoint();
-      if (rc >= 0) return rc;
+      if (!ctrl_.send(FrameType::kCheckpoint, seal_epoch_, checkpoint_)) {
+        return fail(kWorkerExitChannel, "send Checkpoint",
+                    ctrl_.last_error().c_str());
+      }
+      store_.mark_checkpoint();
+      extracted_.clear();
     }
     return kKeepRunning;
   }
 
-  /// Ships the post-seal durable snapshot: counters, the fold's
-  /// scratch-map bucket count (WorkerFold::local_buckets), the state
-  /// checksum, and every key state's serialized blob.
-  int send_checkpoint() {
-    CheckpointPayload cp;
-    cp.epoch = seal_epoch_;
-    cp.processed = processed_;
-    cp.outputs = fold_.outputs();
-    cp.local_buckets = fold_.local_buckets();
-    cp.state_checksum = store_.checksum();
-    cp.states.reserve(store_.size());
-    for (const auto& [key, state] : store_.states()) {
-      WireKeyState wire;
-      wire.key = key;
-      ByteWriter blob;
-      state->serialize(blob);
-      wire.blob = blob.take();
-      cp.states.push_back(std::move(wire));
-    }
-    scratch_.clear();
-    encode_checkpoint(scratch_, cp);
-    if (!ctrl_.send(FrameType::kCheckpoint, cp.epoch, scratch_)) {
-      return fail(kWorkerExitChannel, "send Checkpoint",
-                  ctrl_.last_error().c_str());
-    }
-    return kKeepRunning;
+  /// Encodes the post-seal durable snapshot as a delta against the last
+  /// one: the counters, the fold's scratch-map bucket count
+  /// (WorkerFold::local_buckets), the state checksum, and a record per key
+  /// state that changed since the mark, straight into the frame buffer.
+  /// The states are marked once it is sent.
+  void encode_checkpoint() {
+    CheckpointCounters c;
+    c.epoch = seal_epoch_;
+    c.processed = processed_;
+    c.outputs = fold_.outputs();
+    c.local_buckets = fold_.local_buckets();
+    c.state_checksum = store_.checksum();
+    std::sort(extracted_.begin(), extracted_.end());
+    extracted_.erase(std::unique(extracted_.begin(), extracted_.end()),
+                     extracted_.end());
+    checkpoint_.clear();
+    encode_checkpoint_delta(checkpoint_, c, store_, extracted_);
   }
 
   /// Reinstalls a driver-held checkpoint after a respawn: replaces the
-  /// whole store, restores the counters and the fold's scratch-map
-  /// bucket count, and acks so the driver can start the replay.
+  /// whole store (which becomes the baseline of the next delta), restores
+  /// the counters and the fold's scratch-map bucket count, and acks so
+  /// the driver can start the replay.
   int handle_restore(ByteReader& in) {
-    CheckpointPayload cp;
-    if (!decode_checkpoint(in, cp)) {
+    CheckpointCounters c;
+    if (!decode_restore(in, c, restore_views_)) {
       return fail(kWorkerExitCorruptFrame, "decode",
                   "corrupt Restore payload");
     }
     store_.clear();
-    for (const WireKeyState& wire : cp.states) {
-      ByteReader blob(wire.blob, ByteReader::Untrusted{});
+    for (const KeyStateView& view : restore_views_) {
+      ByteReader blob(view.blob, view.size, ByteReader::Untrusted{});
       std::unique_ptr<KeyState> state = logic_.deserialize_state(blob);
       if (state == nullptr || !blob.ok() || !blob.exhausted()) {
         return fail(kWorkerExitCorruptFrame, "decode",
                     "corrupt checkpoint state blob");
       }
-      store_.install_or_replace(wire.key, std::move(state));
+      store_.install_or_replace(view.key, std::move(state));
     }
-    processed_ = cp.processed;
-    fold_.restore(cp.outputs, cp.local_buckets);
+    store_.mark_checkpoint();
+    extracted_.clear();
+    processed_ = c.processed;
+    fold_.restore(c.outputs, c.local_buckets);
     slab_.clear();
     epoch_batches_ = 0;
     seal_pending_ = false;
     scratch_.clear();
-    encode_ack(scratch_, AckPayload{cp.epoch});
-    if (!ctrl_.send(FrameType::kRestoreAck, cp.epoch, scratch_)) {
+    encode_ack(scratch_, AckPayload{c.epoch});
+    if (!ctrl_.send(FrameType::kRestoreAck, c.epoch, scratch_)) {
       return fail(kWorkerExitChannel, "send RestoreAck",
                   ctrl_.last_error().c_str());
     }
@@ -327,6 +329,7 @@ class NetWorker {
     for (const KeyId key : keys) {
       std::unique_ptr<KeyState> state = store_.extract(key);
       if (state == nullptr) continue;  // key had no state yet
+      if (options_.recovery) extracted_.push_back(key);
       WireKeyState wire;
       wire.key = key;
       ByteWriter blob;
@@ -418,6 +421,9 @@ class NetWorker {
   FrameChannel data_;
   FrameChannel ctrl_;
   StateStore store_;
+  /// Keys extracted since the last checkpoint (removals in the next one).
+  std::vector<KeyId> extracted_;
+  std::vector<KeyStateView> restore_views_;
   ShardedWorkerSlab slab_;
   WorkerFold fold_;
   std::uint64_t processed_ = 0;
@@ -425,6 +431,7 @@ class NetWorker {
   std::vector<std::uint8_t> ctrl_payload_;
   std::vector<std::uint8_t> data_payload_;
   ByteWriter scratch_;
+  ByteWriter checkpoint_;  // the sealed epoch's checkpoint frame
   bool seal_pending_ = false;
   std::uint64_t seal_epoch_ = 0;
   std::uint64_t seal_target_ = 0;

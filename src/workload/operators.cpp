@@ -1,9 +1,42 @@
 #include "workload/operators.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "common/hash.h"
 
 namespace skewless {
+
+namespace {
+
+constexpr std::uint64_t kEntryWireBytes = 16;  // (time, value)
+
+using Buffer = std::deque<std::pair<Micros, std::int64_t>>;
+
+/// The splice of a buffer that only grew at the back and shrank at the
+/// front since the mark: `appended` entries are new (the newest ones,
+/// unless expiry reached them too) and the marked entries past
+/// `mark_size - survivors` are kept. `head_bytes` is the encoded header
+/// before the entries, already written to `out`.
+StateDelta splice_buffer(const Buffer& buffer, std::uint64_t appended,
+                         std::uint64_t mark_size, std::uint64_t head_bytes,
+                         ByteWriter& out, StateSplice& splice) {
+  const std::uint64_t n = buffer.size();
+  const std::uint64_t fresh = std::min(appended, n);
+  const std::uint64_t survivors = n - fresh;
+  if (survivors > mark_size) return StateDelta::kFull;  // not append-only
+  splice.head_bytes = head_bytes;
+  splice.keep_from = head_bytes + kEntryWireBytes * (mark_size - survivors);
+  splice.keep_to = head_bytes + kEntryWireBytes * mark_size;
+  for (auto it = buffer.end() - static_cast<std::ptrdiff_t>(fresh);
+       it != buffer.end(); ++it) {
+    out.i64(it->first);
+    out.i64(it->second);
+  }
+  return StateDelta::kSplice;
+}
+
+}  // namespace
 
 void WordCountState::add(Micros time_us, std::int64_t value) {
   ++count_;
@@ -25,6 +58,28 @@ void WordCountState::serialize(ByteWriter& out) const {
     out.i64(time_us);
     out.i64(value);
   }
+}
+
+void WordCountState::mark_checkpoint() {
+  mark_count_ = count_;
+  mark_size_ = static_cast<std::uint32_t>(recent_.size());
+}
+
+StateDelta WordCountState::checkpoint_delta(ByteWriter& out,
+                                            StateSplice& splice) const {
+  if (mark_size_ == kUnmarkedState) return StateDelta::kFull;
+  const std::uint64_t appended = count_ - mark_count_;
+  if (appended == 0 && recent_.size() == mark_size_) {
+    return StateDelta::kUnchanged;
+  }
+  const std::size_t start = out.size();
+  out.u64(count_);
+  out.i64(value_sum_);
+  out.u32(static_cast<std::uint32_t>(recent_.size()));
+  const StateDelta d = splice_buffer(recent_, appended, mark_size_,
+                                     out.size() - start, out, splice);
+  if (d != StateDelta::kSplice) out.truncate(start);
+  return d;
 }
 
 std::unique_ptr<WordCountState> WordCountState::deserialize(ByteReader& in) {
@@ -62,7 +117,33 @@ Cost WordCountLogic::process(const Tuple& tuple, KeyState& state,
 void SelfJoinState::expire_before(Micros watermark) {
   while (!window_.empty() && window_.front().first < watermark) {
     window_.pop_front();
+    ++dropped_;
   }
+}
+
+void SelfJoinState::mark_checkpoint() {
+  mark_dropped_ = dropped_;
+  mark_size_ = static_cast<std::uint32_t>(window_.size());
+}
+
+StateDelta SelfJoinState::checkpoint_delta(ByteWriter& out,
+                                           StateSplice& splice) const {
+  if (mark_size_ == kUnmarkedState) return StateDelta::kFull;
+  const std::uint64_t dropped = dropped_ - mark_dropped_;
+  if (dropped == 0 && window_.size() == mark_size_) {
+    return StateDelta::kUnchanged;
+  }
+  // Entries now = marked survivors + appended survivors.
+  const std::uint64_t survivors =
+      dropped >= mark_size_ ? 0 : mark_size_ - dropped;
+  const std::uint64_t n = window_.size();
+  const std::uint64_t appended = n - std::min(survivors, n);
+  const std::size_t start = out.size();
+  out.u32(static_cast<std::uint32_t>(window_.size()));
+  const StateDelta d = splice_buffer(window_, appended, mark_size_,
+                                     out.size() - start, out, splice);
+  if (d != StateDelta::kSplice) out.truncate(start);
+  return d;
 }
 
 void SelfJoinState::serialize(ByteWriter& out) const {

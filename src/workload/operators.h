@@ -12,11 +12,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 
 #include "engine/operator.h"
 
 namespace skewless {
+
+/// Buffer length of a state that was never marked for a checkpoint.
+inline constexpr std::uint32_t kUnmarkedState =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// State for WordCountLogic: total count plus the in-memory tuple buffer.
 class WordCountState final : public KeyState {
@@ -27,6 +32,11 @@ class WordCountState final : public KeyState {
   [[nodiscard]] std::uint64_t checksum() const override;
   void serialize(ByteWriter& out) const override;
   void expire_before(Micros watermark) override;
+  /// add() appends one buffered tuple per count and expiry drops from the
+  /// front, so the count and buffer length at the mark locate both ends.
+  void mark_checkpoint() override;
+  [[nodiscard]] StateDelta checkpoint_delta(
+      ByteWriter& out, StateSplice& splice) const override;
 
   static std::unique_ptr<WordCountState> deserialize(ByteReader& in);
 
@@ -38,6 +48,8 @@ class WordCountState final : public KeyState {
   std::uint64_t count_ = 0;
   std::int64_t value_sum_ = 0;
   std::deque<std::pair<Micros, std::int64_t>> recent_;
+  std::uint64_t mark_count_ = 0;
+  std::uint32_t mark_size_ = kUnmarkedState;
 };
 
 class WordCountLogic final : public OperatorLogic {
@@ -71,6 +83,12 @@ class SelfJoinState final : public KeyState {
   [[nodiscard]] std::uint64_t checksum() const override;
   void serialize(ByteWriter& out) const override;
   void expire_before(Micros watermark) override;
+  /// append() adds at the back and expiry counts what it drops from the
+  /// front, so the window length and drop count at the mark locate both
+  /// ends.
+  void mark_checkpoint() override;
+  [[nodiscard]] StateDelta checkpoint_delta(
+      ByteWriter& out, StateSplice& splice) const override;
 
   static std::unique_ptr<SelfJoinState> deserialize(ByteReader& in);
 
@@ -85,6 +103,9 @@ class SelfJoinState final : public KeyState {
 
  private:
   std::deque<std::pair<Micros, std::int64_t>> window_;
+  std::uint64_t dropped_ = 0;  // entries expired over the state's life
+  std::uint64_t mark_dropped_ = 0;
+  std::uint32_t mark_size_ = kUnmarkedState;
 };
 
 class SelfJoinLogic final : public OperatorLogic {

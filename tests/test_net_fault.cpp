@@ -1,13 +1,14 @@
 // The socket engine's fault-tolerance layer: the recovery data
-// structures (checkpoint ring, replay buffer, exit classification, fault
-// plans) unit-tested directly, then the recovery PROTOCOL end to end —
-// the headline contract being that a worker killed at ANY epoch yields a
-// run byte-identical to the crash-free one (same plan-history digest,
-// same θ bit patterns, same state checksums), and that a worker that
-// exhausts its retry budget degrades away with every tuple still counted
-// exactly once.
+// structures (materialized checkpoint store, replay buffer, exit
+// classification, fault plans) unit-tested directly, then the recovery
+// PROTOCOL end to end — the headline contract being that a worker killed
+// at ANY epoch yields a run byte-identical to the crash-free one (same
+// plan-history digest, same θ bit patterns, same state checksums), and
+// that a worker that exhausts its retry budget degrades away with every
+// tuple still counted exactly once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <sys/wait.h>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/controller.h"
 #include "core/planners.h"
 #include "net/fault_injector.h"
@@ -55,51 +57,136 @@ const ::testing::Environment* const kNoZombieEnv =
 
 // --- recovery data structures ---------------------------------------------
 
-CheckpointPayload make_checkpoint(std::uint64_t epoch, std::size_t states,
-                                  std::size_t blob_bytes) {
-  CheckpointPayload cp;
-  cp.epoch = epoch;
-  cp.processed = epoch * 100;
-  cp.outputs = epoch * 50;
-  for (std::size_t i = 0; i < states; ++i) {
-    WireKeyState s;
-    s.key = static_cast<KeyId>(epoch * 1000 + i);
-    s.blob.assign(blob_bytes, static_cast<std::uint8_t>(epoch));
-    cp.states.push_back(std::move(s));
+/// Drives a worker-side StateStore of SelfJoin states through epochs and
+/// keeps a driver-side CheckpointStore in step with its deltas, exactly
+/// as the socket engine's seal does.
+class StoreHarness {
+ public:
+  explicit StoreHarness(std::size_t window) : logic_(1.0, 0.0, window) {}
+
+  /// Appends `tuples` tuples spread over keys [0, keys), then checkpoints.
+  void epoch(std::size_t keys, std::size_t tuples) {
+    for (std::size_t i = 0; i < tuples; ++i) {
+      Tuple t;
+      t.key = static_cast<KeyId>(i % keys);
+      t.value = static_cast<std::int64_t>(i);
+      t.emit_micros = clock_++;
+      KeyState& state =
+          worker_.get_or_create(t.key, [&] { return logic_.make_state(); });
+      (void)logic_.process(t, state, sink_);
+    }
+    checkpoint();
   }
-  return cp;
+
+  /// Expires every state's content before the current clock, then
+  /// checkpoints.
+  void expire_all() {
+    worker_.expire_before(clock_);
+    checkpoint();
+  }
+
+  [[nodiscard]] const CheckpointStore& driver() const { return driver_; }
+  [[nodiscard]] std::uint64_t epochs() const { return epoch_; }
+
+  /// Serialized bytes of the worker's live state.
+  [[nodiscard]] std::size_t live_bytes() const {
+    std::size_t total = 0;
+    for (const auto& [key, state] : worker_.states()) {
+      ByteWriter w;
+      state->serialize(w);
+      total += w.size();
+    }
+    return total;
+  }
+
+  /// True when the driver's store holds exactly the worker's states.
+  [[nodiscard]] bool in_step() const {
+    if (driver_.size() != worker_.size()) return false;
+    for (const auto& [key, state] : worker_.states()) {
+      ByteWriter w;
+      state->serialize(w);
+      const auto it = driver_.states().find(key);
+      if (it == driver_.states().end() || it->second != w.bytes()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct NullCollector final : Collector {
+    void emit(const Tuple&) override {}
+  };
+
+  void checkpoint() {
+    CheckpointCounters c;
+    c.epoch = ++epoch_;
+    c.processed = static_cast<std::uint64_t>(clock_);
+    ByteWriter out;
+    encode_checkpoint_delta(out, c, worker_, {});
+    ByteReader in(out.bytes(), ByteReader::Untrusted{});
+    CheckpointDelta delta;
+    ASSERT_TRUE(decode_checkpoint_delta(in, delta));
+    ASSERT_TRUE(driver_.apply(delta));
+    worker_.mark_checkpoint();
+  }
+
+  SelfJoinLogic logic_;
+  NullCollector sink_;
+  StateStore worker_;
+  CheckpointStore driver_;
+  Micros clock_ = 0;
+  std::uint64_t epoch_ = 0;
+};
+
+// The store holds one copy of the live state: with a bounded window its
+// memory stops growing however many epochs pass, and it shrinks back
+// when the state does.
+TEST(CheckpointStore, MemoryFollowsLiveStateNotEpochs) {
+  StoreHarness h(/*window=*/64);
+  constexpr std::size_t kKeys = 40;
+  // Per key: the map entry plus a blob's slack (capacity grows by half).
+  const auto bound = [&] {
+    return 2 * h.live_bytes() + kKeys * (sizeof(KeyId) + 64);
+  };
+  std::size_t high_water_early = 0;
+  for (int e = 0; e < 60; ++e) {
+    h.epoch(kKeys, 300);
+    ASSERT_TRUE(h.in_step()) << "epoch " << e;
+    EXPECT_LE(h.driver().memory_bytes(), bound()) << "epoch " << e;
+    if (e < 20) {
+      high_water_early = std::max(high_water_early, h.driver().memory_bytes());
+    } else {
+      EXPECT_LE(h.driver().memory_bytes(), high_water_early) << "epoch " << e;
+    }
+  }
+  const std::size_t full = h.driver().memory_bytes();
+  h.expire_all();
+  ASSERT_TRUE(h.in_step());
+  EXPECT_LT(h.driver().memory_bytes() * 8, full);
 }
 
-TEST(CheckpointRing, EvictsOldestAndBoundsMemory) {
-  CheckpointRing ring(2);
-  ASSERT_EQ(ring.capacity(), 2u);
-  EXPECT_EQ(ring.latest(), nullptr);
-
-  std::size_t high_water = 0;
-  for (std::uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    ring.push(make_checkpoint(epoch, /*states=*/4, /*blob_bytes=*/64));
-    ASSERT_LE(ring.size(), 2u);
-    ASSERT_NE(ring.latest(), nullptr);
-    EXPECT_EQ(ring.latest()->epoch, epoch);
-    high_water = std::max(high_water, ring.memory_bytes());
+// Every delta lands in the one store, and a restore ships the latest
+// epoch: its counters and its states, none older.
+TEST(CheckpointStore, LatestEpochIsRestored) {
+  StoreHarness h(/*window=*/8);
+  for (int e = 0; e < 5; ++e) h.epoch(/*keys=*/6, /*tuples=*/20 + e);
+  ASSERT_TRUE(h.in_step());
+  ByteWriter out;
+  h.driver().encode_restore(out);
+  ByteReader in(out.bytes(), ByteReader::Untrusted{});
+  CheckpointCounters c;
+  std::vector<KeyStateView> states;
+  ASSERT_TRUE(decode_restore(in, c, states));
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(c.epoch, 5u);
+  EXPECT_EQ(c.epoch, h.epochs());
+  EXPECT_EQ(c.processed, h.driver().counters().processed);
+  ASSERT_EQ(states.size(), 6u);
+  for (const KeyStateView& v : states) {
+    const auto& blob = h.driver().states().at(v.key);
+    EXPECT_EQ(std::vector<std::uint8_t>(v.blob, v.blob + v.size), blob);
   }
-  // The bound: memory after 50 epochs equals the 2-checkpoint high water,
-  // not O(epochs).
-  EXPECT_EQ(ring.memory_bytes(), high_water);
-  EXPECT_LE(ring.memory_bytes(), 2 * 4 * (sizeof(WireKeyState) + 64));
-
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.latest(), nullptr);
-}
-
-TEST(CheckpointRing, ZeroCapacityClampsToOne) {
-  CheckpointRing ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  ring.push(make_checkpoint(1, 1, 8));
-  ring.push(make_checkpoint(2, 1, 8));
-  ASSERT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.latest()->epoch, 2u);
 }
 
 TEST(ReplayBuffer, RecordsVerbatimAndOverflowIsSticky) {
@@ -244,6 +331,30 @@ struct RunDigest {
 
 constexpr InstanceId kWorkers = 3;
 constexpr int kIntervals = 3;
+constexpr int kLongIntervals = 6;
+
+/// Harvests the digest of a finished run, shutting the engine down.
+RunDigest digest_of(NetEngine& engine,
+                    const std::vector<IntervalReport>& reports) {
+  RunDigest d;
+  for (const auto& r : reports) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(r.max_theta));
+    std::memcpy(&bits, &r.max_theta, sizeof(bits));
+    d.theta_bits.push_back(bits);
+  }
+  d.plan_digest = engine.controller()->plan_history_digest();
+  engine.shutdown();
+  d.ok = engine.ok();
+  d.error = engine.error();
+  d.state_checksum = engine.state_checksum();
+  d.state_entries = engine.total_state_entries();
+  d.processed = engine.total_processed();
+  d.outputs = engine.total_output_tuples();
+  d.recoveries = engine.recoveries();
+  d.degraded = engine.degraded();
+  return d;
+}
 
 RunDigest run_with_plan(const FaultPlan& fault, int timeout_ms = 2'000,
                         int max_attempts = 3) {
@@ -264,25 +375,7 @@ RunDigest run_with_plan(const FaultPlan& fault, int timeout_ms = 2'000,
   NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
                    fault_controller(kWorkers, source.num_keys()));
   const auto reports = engine.run(source, kIntervals, /*seed=*/11);
-
-  RunDigest d;
-  for (const auto& r : reports) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(r.max_theta));
-    std::memcpy(&bits, &r.max_theta, sizeof(bits));
-    d.theta_bits.push_back(bits);
-  }
-  d.plan_digest = engine.controller()->plan_history_digest();
-  engine.shutdown();
-  d.ok = engine.ok();
-  d.error = engine.error();
-  d.state_checksum = engine.state_checksum();
-  d.state_entries = engine.total_state_entries();
-  d.processed = engine.total_processed();
-  d.outputs = engine.total_output_tuples();
-  d.recoveries = engine.recoveries();
-  d.degraded = engine.degraded();
-  return d;
+  return digest_of(engine, reports);
 }
 
 void expect_byte_identical(const RunDigest& got, const RunDigest& clean,
@@ -432,9 +525,9 @@ TEST(NetRecovery, RecoveryDisabledFailsStop) {
   expect_no_children();
 }
 
-// The checkpoint ring must stay bounded over a long run — depth
-// checkpoint_ring_capacity, not O(epochs).
-TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
+// Over a run, each worker's store holds its latest epoch and one copy of
+// its live state, not a history of checkpoints.
+TEST(NetRecovery, CheckpointStoreHoldsLatestEpochAcrossEpochs) {
   if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
   ZipfFluctuatingSource::Options opts;
   opts.num_keys = 500;
@@ -445,16 +538,188 @@ TEST(NetRecovery, CheckpointRingStaysBoundedAcrossEpochs) {
 
   NetConfig ncfg;
   ncfg.batch_size = 64;
-  ncfg.checkpoint_ring_capacity = 2;
   NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
                    fault_controller(2, source.num_keys()));
   (void)engine.run(source, /*intervals=*/6, /*seed=*/7);
   ASSERT_TRUE(engine.ok()) << engine.error();
+  engine.shutdown();
+  ASSERT_TRUE(engine.ok()) << engine.error();
+  std::size_t entries = 0;
+  std::size_t live = 0;
   for (std::size_t w = 0; w < 2; ++w) {
-    EXPECT_LE(engine.checkpoint_ring(w).size(), 2u) << w;
-    ASSERT_NE(engine.checkpoint_ring(w).latest(), nullptr) << w;
-    EXPECT_EQ(engine.checkpoint_ring(w).latest()->epoch, 6u) << w;
+    const CheckpointStore& store = engine.checkpoint_store(w);
+    EXPECT_EQ(store.counters().epoch, 6u) << w;
+    entries += store.size();
+    std::size_t bytes = 0;
+    for (const auto& [key, blob] : store.states()) bytes += blob.size();
+    EXPECT_LE(store.memory_bytes(), 2 * bytes + store.size() * 64) << w;
+    live += bytes;
   }
+  EXPECT_EQ(entries, engine.total_state_entries());
+  // WordCountState keeps every tuple: 6 × 2000 tuples of 16 bytes, plus
+  // a 20-byte header per key.
+  EXPECT_EQ(live, 6u * 2'000u * 16u + 20u * entries);
+  expect_no_children();
+}
+
+/// A longer run in which every checkpoint shape shows up: the Zipf mix
+/// shifts every two intervals (re-plans extract and install state), the
+/// self-join window expires one interval behind (drop-front splices),
+/// and the window cap drops from the front as tuples arrive.
+RunDigest run_long(const std::shared_ptr<OperatorLogic>& logic,
+                   const FaultPlan& fault, std::size_t* moves = nullptr) {
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = 1'200;
+  opts.skew = 1.2;
+  opts.tuples_per_interval = 6'000;
+  opts.fluctuation = 1.0;
+  opts.fluctuate_every = 2;
+  opts.seed = 21;
+  ZipfFluctuatingSource source(opts);
+
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  ncfg.expire_lag_intervals = 1;
+  ncfg.fault = fault;
+  ncfg.ctrl_timeout_ms = 2'000;
+  ncfg.heartbeat_interval_ms = 50;
+  NetEngine engine(ncfg, logic, fault_controller(kWorkers, source.num_keys()));
+  const auto reports = engine.run(source, kLongIntervals, /*seed=*/13);
+  if (moves != nullptr) {
+    *moves = 0;
+    for (const auto& r : reports) *moves += r.moves;
+  }
+  // The driver's materialized checkpoint must hold exactly the states the
+  // worker checksummed at its last seal. (Byte-identity alone cannot see
+  // a mis-spliced window once expiry has dropped it.)
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    const CheckpointStore& store = engine.checkpoint_store(w);
+    std::uint64_t sum = 0;
+    for (const auto& [key, blob] : store.states()) {
+      ByteReader in(blob, ByteReader::Untrusted{});
+      const std::unique_ptr<KeyState> state = logic->deserialize_state(in);
+      EXPECT_TRUE(state != nullptr && in.ok() && in.exhausted()) << key;
+      if (state != nullptr) sum += mix64(key ^ state->checksum());
+    }
+    EXPECT_EQ(store.counters().epoch, std::uint64_t{kLongIntervals}) << w;
+    EXPECT_EQ(sum, store.counters().state_checksum) << "worker " << w;
+  }
+  return digest_of(engine, reports);
+}
+
+// Kill a worker at every epoch of the longer run: the restore ships the
+// materialized checkpoint, the respawned worker's next delta is against
+// it, and the run stays byte-identical to the crash-free one.
+TEST(NetRecovery, KillAtEveryEpochOfLongSelfJoinRunIsByteIdentical) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const auto logic = std::make_shared<SelfJoinLogic>(1.0, 0.02, 48);
+  std::size_t moves = 0;
+  const RunDigest clean = run_long(logic, FaultPlan{}, &moves);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.recoveries, 0u);
+  ASSERT_EQ(clean.processed, std::uint64_t(kLongIntervals) * 6'000u);
+  ASSERT_GT(moves, 0u) << "the run must migrate state";
+
+  for (std::uint64_t epoch = 1; epoch <= kLongIntervals; ++epoch) {
+    FaultPlan plan;
+    plan.events.push_back(FaultEvent{FaultKind::kKill,
+                                     /*worker=*/static_cast<std::uint32_t>(
+                                         epoch % kWorkers),
+                                     epoch,
+                                     /*sticky=*/false});
+    const RunDigest got = run_long(logic, plan);
+    expect_byte_identical(got, clean, "kill@" + std::to_string(epoch));
+    EXPECT_EQ(got.recoveries, 1u) << epoch;
+    EXPECT_FALSE(got.degraded) << epoch;
+  }
+  expect_no_children();
+}
+
+/// A per-key running count whose state implements no delta: every
+/// checkpoint ships it in full.
+class PlainCountState final : public KeyState {
+ public:
+  Bytes bytes() const override { return 16.0; }
+  std::uint64_t checksum() const override {
+    return mix64(count_ * 31 + static_cast<std::uint64_t>(sum_));
+  }
+  void serialize(ByteWriter& out) const override {
+    out.u64(count_);
+    out.i64(sum_);
+  }
+  void add(std::int64_t v) {
+    ++count_;
+    sum_ += v;
+  }
+  std::uint64_t count_ = 0;
+  std::int64_t sum_ = 0;
+};
+
+class PlainCountLogic final : public OperatorLogic {
+ public:
+  std::unique_ptr<KeyState> make_state() const override {
+    return std::make_unique<PlainCountState>();
+  }
+  std::unique_ptr<KeyState> deserialize_state(ByteReader& in) const override {
+    auto s = std::make_unique<PlainCountState>();
+    s->count_ = in.u64();
+    s->sum_ = in.i64();
+    return s;
+  }
+  Cost process(const Tuple& t, KeyState& state, Collector& out) const override {
+    static_cast<PlainCountState&>(state).add(t.value);
+    out.emit(t);
+    return 1.0;
+  }
+};
+
+// A state without delta support recovers through the full-blob fallback.
+TEST(NetRecovery, StateWithoutDeltaRecoversThroughFullBlobs) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  const auto logic = std::make_shared<PlainCountLogic>();
+  const RunDigest clean = run_long(logic, FaultPlan{});
+  ASSERT_TRUE(clean.ok) << clean.error;
+  for (const std::uint64_t epoch : {1ull, 3ull, 6ull}) {
+    FaultPlan plan;
+    plan.events.push_back(FaultEvent{FaultKind::kKill, /*worker=*/0, epoch,
+                                     /*sticky=*/false});
+    const RunDigest got = run_long(logic, plan);
+    expect_byte_identical(got, clean, "kill@" + std::to_string(epoch));
+    EXPECT_EQ(got.recoveries, 1u) << epoch;
+  }
+  expect_no_children();
+}
+
+// An epoch that touches a few keys checkpoints a few keys' changes, not
+// the whole state.
+TEST(NetRecovery, FewKeyEpochCheckpointIsFarSmallerThanFullState) {
+  if (tsan_enabled()) GTEST_SKIP() << "fork-based engine under TSan";
+  NetConfig ncfg;
+  ncfg.batch_size = 64;
+  NetEngine engine(ncfg, std::make_shared<WordCountLogic>(),
+                   fault_controller(kWorkers, 4'000));
+  std::vector<Tuple> wide;
+  for (std::uint64_t i = 0; i < 40'000; ++i) {
+    Tuple t;
+    t.key = static_cast<KeyId>(i % 4'000);
+    t.value = static_cast<std::int64_t>(i);
+    wide.push_back(t);
+  }
+  const IntervalReport first = engine.run_interval(wide);
+  std::vector<Tuple> narrow;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    Tuple t;
+    t.key = static_cast<KeyId>(i % 3);
+    t.value = 1;
+    narrow.push_back(t);
+  }
+  const IntervalReport second = engine.run_interval(narrow);
+  ASSERT_TRUE(engine.ok()) << engine.error();
+  // The first checkpoint is every state in full: 40k buffered tuples.
+  EXPECT_GE(first.checkpoint_wire_bytes, 40'000u * 16u);
+  EXPECT_GT(second.checkpoint_wire_bytes, 0u);
+  EXPECT_LT(second.checkpoint_wire_bytes * 100, first.checkpoint_wire_bytes)
+      << second.checkpoint_wire_bytes << " vs " << first.checkpoint_wire_bytes;
   engine.shutdown();
   ASSERT_TRUE(engine.ok()) << engine.error();
   expect_no_children();

@@ -7,18 +7,89 @@
 // of bounds (ASan enforces the last one on the CI debug-asan leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serde.h"
+#include "engine/state.h"
 #include "net/frame.h"
+#include "net/recovery.h"
 #include "net/wire.h"
 #include "sketch/worker_sketch_slab.h"
+#include "workload/operators.h"
 
 namespace skewless {
 namespace {
+
+/// A worker store and the driver's checkpoint of it at its last mark,
+/// plus the next delta: states appended to, expired, untouched,
+/// extracted and created since the mark, so the delta carries splice,
+/// full and removal records.
+struct DeltaFixture {
+  CheckpointStore driver;
+  StateStore worker;
+  std::vector<std::uint8_t> delta;
+};
+
+DeltaFixture make_delta_fixture() {
+  DeltaFixture f;
+  const WordCountLogic logic;
+  for (KeyId key = 0; key < 10; ++key) {
+    auto& s = static_cast<WordCountState&>(
+        f.worker.get_or_create(key, [&] { return logic.make_state(); }));
+    for (int j = 0; j < 3 + static_cast<int>(key); ++j) {
+      s.add(100 * j, j - static_cast<int>(key));
+    }
+  }
+  CheckpointCounters c;
+  c.epoch = 1;
+  ByteWriter first;
+  encode_checkpoint_delta(first, c, f.worker, {});
+  ByteReader in(first.bytes(), ByteReader::Untrusted{});
+  CheckpointDelta decoded;
+  EXPECT_TRUE(decode_checkpoint_delta(in, decoded));
+  EXPECT_TRUE(f.driver.apply(decoded));
+  f.worker.mark_checkpoint();
+
+  for (KeyId key = 0; key < 6; ++key) {
+    auto* s = static_cast<WordCountState*>(f.worker.find(key));
+    s->add(10'000 + static_cast<Micros>(key), 7);
+  }
+  f.worker.find(4)->expire_before(150);
+  std::vector<KeyId> removed = {7, 8};
+  for (const KeyId key : removed) (void)f.worker.extract(key);
+  for (KeyId key = 20; key < 22; ++key) {
+    auto& s = static_cast<WordCountState&>(
+        f.worker.get_or_create(key, [&] { return logic.make_state(); }));
+    s.add(5, 5);
+  }
+  c.epoch = 2;
+  c.processed = 99;
+  ByteWriter next;
+  encode_checkpoint_delta(next, c, f.worker, removed);
+  f.delta = next.bytes();
+  return f;
+}
+
+/// Order-free image of a store: counters plus sorted (key, blob) pairs.
+using StoreImage =
+    std::pair<std::vector<std::uint64_t>,
+              std::vector<std::pair<KeyId, std::vector<std::uint8_t>>>>;
+
+StoreImage image_of(const CheckpointStore& store) {
+  const CheckpointCounters& c = store.counters();
+  StoreImage img;
+  img.first = {c.epoch, c.processed, c.outputs, c.local_buckets,
+               c.state_checksum};
+  img.second.assign(store.states().begin(), store.states().end());
+  std::sort(img.second.begin(), img.second.end());
+  return img;
+}
 
 /// One valid encoding of every payload kind, by index. Returning a fresh
 /// copy per call keeps corruption runs independent.
@@ -96,22 +167,23 @@ std::vector<std::vector<std::uint8_t>> valid_payloads() {
     out.push_back(w.bytes());
   }
   {
-    CheckpointPayload cp;
-    cp.epoch = 6;
-    cp.processed = 6'000;
-    cp.outputs = 5'900;
-    cp.local_buckets = 512;
-    cp.state_checksum = 0x1122334455667788ULL;
-    for (int i = 0; i < 5; ++i) {
-      WireKeyState s;
-      s.key = static_cast<KeyId>(i * 31);
-      s.blob.assign(static_cast<std::size_t>(4 + i * 7), std::uint8_t(0xc0 + i));
-      cp.states.push_back(std::move(s));
-    }
+    CheckpointCounters c;
+    c.epoch = 6;
+    c.processed = 6'000;
+    c.outputs = 5'900;
+    c.local_buckets = 512;
+    c.state_checksum = 0x1122334455667788ULL;
     ByteWriter w;
-    encode_checkpoint(w, cp);
+    encode_restore_header(w, c, 5);
+    for (int i = 0; i < 5; ++i) {
+      const std::vector<std::uint8_t> blob(static_cast<std::size_t>(4 + i * 7),
+                                           std::uint8_t(0xc0 + i));
+      encode_key_state(w, static_cast<KeyId>(i * 31), blob.data(),
+                       blob.size());
+    }
     out.push_back(w.bytes());
   }
+  out.push_back(make_delta_fixture().delta);
   {
     ByteWriter w;
     encode_heartbeat(w, HeartbeatPayload{17});
@@ -183,8 +255,17 @@ void decode_all(const std::vector<std::uint8_t>& bytes) {
   }
   {
     ByteReader r(bytes, ByteReader::Untrusted{});
-    CheckpointPayload cp;
-    const bool ok = decode_checkpoint(r, cp);
+    CheckpointCounters c;
+    std::vector<KeyStateView> states;
+    const bool ok = decode_restore(r, c, states);
+    if (!ok) {
+      EXPECT_FALSE(r.ok());
+    }
+  }
+  {
+    ByteReader r(bytes, ByteReader::Untrusted{});
+    CheckpointDelta delta;
+    const bool ok = decode_checkpoint_delta(r, delta);
     if (!ok) {
       EXPECT_FALSE(r.ok());
     }
@@ -313,6 +394,109 @@ TEST(NetFuzz, SlabSummaryCorruptionsRejectOrRoundTrip) {
     EXPECT_EQ(0, std::memcmp(again.bytes().data(), valid.data(),
                              valid.size()));
   }
+}
+
+// Checkpoint deltas at the driver: a delta is validated whole before any
+// of it lands. Truncated or corrupted payloads either fail to decode or,
+// if they decode, apply completely or not at all — a rejected delta
+// leaves the stored checkpoint byte for byte as it was.
+TEST(NetFuzz, RejectedDeltaLeavesStoredCheckpointUnchanged) {
+  const DeltaFixture f = make_delta_fixture();
+  const StoreImage before = image_of(f.driver);
+
+  // The clean delta applies and reproduces the worker's serialized store.
+  {
+    CheckpointStore store = f.driver;
+    ByteReader in(f.delta, ByteReader::Untrusted{});
+    CheckpointDelta delta;
+    ASSERT_TRUE(decode_checkpoint_delta(in, delta));
+    ASSERT_TRUE(in.exhausted());
+    ASSERT_TRUE(store.apply(delta));
+    ASSERT_EQ(store.size(), f.worker.size());
+    for (const auto& [key, state] : f.worker.states()) {
+      ByteWriter w;
+      state->serialize(w);
+      ASSERT_EQ(store.states().count(key), 1u) << key;
+      EXPECT_EQ(store.states().at(key), w.bytes()) << key;
+    }
+    EXPECT_EQ(store.counters().epoch, 2u);
+    EXPECT_EQ(store.counters().processed, 99u);
+  }
+
+  std::size_t rejected = 0;
+  const auto apply_bytes = [&](const std::vector<std::uint8_t>& bytes) {
+    ByteReader in(bytes, ByteReader::Untrusted{});
+    CheckpointDelta delta;
+    if (!decode_checkpoint_delta(in, delta) || !in.exhausted()) return;
+    CheckpointStore store = f.driver;
+    if (store.apply(delta)) return;  // a corrupted blob byte is opaque
+    ++rejected;
+    EXPECT_EQ(image_of(store), before);
+  };
+  for (std::size_t keep = 0; keep < f.delta.size(); ++keep) {
+    apply_bytes(std::vector<std::uint8_t>(f.delta.begin(),
+                                          f.delta.begin() + keep));
+  }
+  std::mt19937_64 rng(0xde17a);
+  for (int round = 0; round < 600; ++round) {
+    auto bytes = f.delta;
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < flips; ++i) {
+      bytes[rng() % bytes.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+    apply_bytes(bytes);
+  }
+  EXPECT_GT(rejected, 0u);
+
+  // Records that decode but do not fit the stored checkpoint.
+  ByteReader in(f.delta, ByteReader::Untrusted{});
+  CheckpointDelta valid;
+  ASSERT_TRUE(decode_checkpoint_delta(in, valid));
+  std::size_t splices = 0;
+  const auto expect_rejected = [&](const CheckpointDelta& bad,
+                                   const std::string& what) {
+    CheckpointStore store = f.driver;
+    EXPECT_FALSE(store.apply(bad)) << what;
+    EXPECT_EQ(image_of(store), before) << what;
+  };
+  for (std::size_t i = 0; i < valid.records.size(); ++i) {
+    const CheckpointDelta::Record& r = valid.records[i];
+    if (r.kind != DeltaRecordKind::kSplice) continue;
+    ++splices;
+    const std::uint64_t blob_size = f.driver.states().at(r.key).size();
+    const std::string at = "record " + std::to_string(i);
+    CheckpointDelta bad = valid;
+    bad.records[i].keep_to = blob_size + 1;
+    expect_rejected(bad, at + ": keep_to past the blob");
+    bad = valid;
+    bad.records[i].keep_from = r.keep_to + 1;
+    expect_rejected(bad, at + ": keep_from past keep_to");
+    bad = valid;
+    bad.records[i].keep_to = std::numeric_limits<std::uint64_t>::max();
+    expect_rejected(bad, at + ": keep_to at the u64 limit");
+    bad = valid;
+    bad.records[i].key = 0xabcdefULL;  // no stored blob to splice
+    expect_rejected(bad, at + ": unknown key");
+    bad = valid;
+    bad.records.push_back(bad.records[i]);
+    expect_rejected(bad, at + ": key twice");
+  }
+  EXPECT_GE(splices, 4u);
+  CheckpointDelta bad = valid;
+  ++bad.state_entries;
+  expect_rejected(bad, "state count off by one");
+  // The key the duplicate check's hash set reserves as its free mark.
+  bad = valid;
+  CheckpointDelta::Record removal;
+  removal.key = ~KeyId{0};
+  removal.kind = DeltaRecordKind::kRemoved;
+  bad.records.push_back(removal);
+  bad.records.push_back(removal);
+  expect_rejected(bad, "the all-ones key twice");
+  bad.records.pop_back();
+  CheckpointStore store = f.driver;
+  EXPECT_TRUE(store.apply(bad)) << "the all-ones key once is a valid no-op";
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <vector>
 
 #include "core/assignment.h"
@@ -80,6 +82,60 @@ TEST(AssignmentFunction, TableOverridesHash) {
   f.table().set(key, other);
   EXPECT_EQ(f(key), other);
   EXPECT_EQ(f.hash_dest(key), hash_dest);  // hash unchanged
+}
+
+// override_batch skips the map for keys its membership filter rules out.
+// Every kind of mutation — insert, update, erase (stale filter bits),
+// growth past the filter's sizing, clear and assign — must leave it
+// exactly equal to point lookups against a reference map.
+TEST(RoutingTable, OverrideBatchStaysExactUnderMutation) {
+  RoutingTable table(/*max_entries=*/0);
+  std::map<KeyId, InstanceId> ref;
+  std::mt19937_64 rng(0x7ab1e);
+  std::vector<KeyId> keys(4'096);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<KeyId>(i * 2'654'435'761ULL % 20'011);
+  }
+  std::vector<InstanceId> out(keys.size());
+  const auto check = [&](int step) {
+    ASSERT_EQ(table.size(), ref.size()) << step;
+    std::fill(out.begin(), out.end(), InstanceId{-1});
+    table.override_batch(keys.data(), keys.size(), out.data());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto it = ref.find(keys[i]);
+      ASSERT_EQ(out[i], it == ref.end() ? InstanceId{-1} : it->second)
+          << "key " << keys[i] << " step " << step;
+    }
+  };
+  for (int step = 0; step < 3'000; ++step) {
+    const KeyId key = keys[rng() % keys.size()];
+    const auto dest = static_cast<InstanceId>(rng() % 7);
+    const auto op = rng() % 100;
+    if (op < 40) {
+      table.set_unchecked(key, dest);
+      ref[key] = dest;
+    } else if (op < 60) {
+      ASSERT_TRUE(table.set(key, dest));
+      ref[key] = dest;
+    } else if (op < 97) {
+      EXPECT_EQ(table.erase(key), ref.erase(key) > 0) << step;
+    } else if (op < 98) {
+      table.clear();
+      ref.clear();
+    } else {
+      std::vector<std::pair<KeyId, InstanceId>> entries;
+      ref.clear();
+      const std::size_t n = rng() % 3'000;
+      for (std::size_t i = 0; i < n; ++i) {
+        entries.emplace_back(keys[rng() % keys.size()],
+                             static_cast<InstanceId>(rng() % 7));
+        ref[entries.back().first] = entries.back().second;
+      }
+      table.assign(std::move(entries));
+    }
+    if (step % 7 == 0) check(step);
+  }
+  check(-1);
 }
 
 TEST(AssignmentFunction, MaterializeMatchesPointEvaluation) {
