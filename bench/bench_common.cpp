@@ -5,7 +5,6 @@
 
 #include "common/consistent_hash.h"
 #include "common/hash.h"
-#include "sketch/simd/sketch_kernels.h"
 
 namespace skewless::bench {
 
@@ -13,9 +12,7 @@ std::string env_json() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::string out = "  \"hardware_threads\": ";
   out += std::to_string(hw);
-  out += ",\n  \"kernel_tier\": \"";
-  out += simd::active_kernels().name;
-  out += "\",\n";
+  out += ",\n";
   return out;
 }
 

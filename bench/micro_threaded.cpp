@@ -47,8 +47,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/sharded_controller.h"
 #include "engine/threaded_engine.h"
-#include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
 
@@ -143,8 +143,8 @@ ModeResult run_mode(const Scenario& sc, StatsMode mode, bool async_merge) {
   res.merge_ms = merge_sum / static_cast<double>(reports.size());
   res.stats_memory_bytes = reports.back().stats_memory_bytes;
   if (const auto* sketch =
-          dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker())) {
-    res.heavy_keys = sketch->heavy_count();
+          dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker())) {
+    res.heavy_keys = sketch->heavy_keys().size();
   }
   engine.shutdown();
   return res;

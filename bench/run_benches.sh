@@ -46,12 +46,6 @@
 #       window, masses conserved exactly across every shard count. On a
 #       single-core host the speedup gate reports SKIPPED (there is no
 #       parallelism to demonstrate); CI's multi-core runners enforce it.
-#   bench_micro_simd     -> BENCH_simd.json
-#       SIMD kernel layer: vectorized add_interleaved >= 2x scalar and
-#       batched probe generation >= 1.5x scalar on AVX2 hosts (speedup
-#       gates SKIPPED, and recorded as such, when the host lacks AVX2 or
-#       has a single hardware thread); the scalar-vs-vector bit-identity
-#       digest gates are enforced on EVERY host, never skipped.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,7 +59,6 @@ BENCHES=(
   bench_micro_net:BENCH_net.json
   bench_micro_fault:BENCH_fault.json
   bench_micro_shard:BENCH_shard.json
-  bench_micro_simd:BENCH_simd.json
 )
 
 status=0
@@ -98,8 +91,6 @@ done
 python3 - <<'PY'
 import json, os
 SKIPPED = {  # file: (skip flag under "gates", measured values it covers)
-    "BENCH_simd.json": ("speedup_skipped",
-                        ["interleaved_speedup", "probe_speedup"]),
     "BENCH_shard.json": ("speedup_gate_skipped_single_core",
                          ["merge_speedup_4x"]),
 }

@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "common/hash.h"
-#include "sketch/simd/sketch_kernels.h"
 
 namespace skewless {
 
@@ -55,18 +54,20 @@ InstanceId ConsistentHashRing::owner(KeyId key) const {
 void ConsistentHashRing::owner_batch(const KeyId* keys, std::size_t n,
                                      InstanceId* out) const {
   SKW_EXPECTS(!ring_.empty());
-  // KeyId IS uint64_t (common/types.h), so the key array feeds the
-  // batched hash kernel directly; the per-key bucket lookups then run
-  // over hot hashes with no hash latency on their critical path. Blocks
-  // of kBlock keep the scratch on the stack: a thread-lifetime heap
-  // scratch, first allocated mid-run among the driver's interval
-  // buffers, measurably raised the driver's peak RSS.
+  // Each block is hashed in one independent-iteration pass first, so
+  // the per-key bucket lookups then run over hot hashes with no hash
+  // latency on their critical path. Blocks of kBlock keep the scratch on
+  // the stack: a thread-lifetime heap scratch, first allocated mid-run
+  // among the driver's interval buffers, measurably raised the driver's
+  // peak RSS.
   constexpr std::size_t kBlock = 256;
+  const std::uint64_t seed = seed_ ^ 0xabcdef12345ULL;
   std::uint64_t hashes[kBlock];
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t m = std::min(kBlock, n - base);
-    simd::active_kernels().hash64_batch(keys + base, m,
-                                        seed_ ^ 0xabcdef12345ULL, hashes);
+    for (std::size_t i = 0; i < m; ++i) {
+      hashes[i] = hash64(keys[base + i], seed);
+    }
     for (std::size_t i = 0; i < m; ++i) {
       out[base + i] = owner_of_hash(hashes[i]);
     }

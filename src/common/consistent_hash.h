@@ -31,9 +31,8 @@ class ConsistentHashRing {
   /// the bucket).
   [[nodiscard]] InstanceId owner(KeyId key) const;
 
-  /// Batched owner(): hashes every key in one vectorized pass
-  /// (SketchKernels::hash64_batch), then does the same expected-O(1)
-  /// bucket lookup per key. out[i] == owner(keys[i]) exactly.
+  /// Batched owner(): hashes a block of keys in one pass, then does the
+  /// same expected-O(1) bucket lookup per key. out[i] == owner(keys[i]) exactly.
   void owner_batch(const KeyId* keys, std::size_t n, InstanceId* out) const;
 
   /// Adds one instance (id = current num_instances()). O(NV log(NV)): the

@@ -31,7 +31,7 @@ class AssignmentFunction {
     return resolve(ring_.owner(key), key);
   }
 
-  /// Batched F(k) over a chunk of keys: ONE vectorized ring pass
+  /// Batched F(k) over a chunk of keys: ONE batched ring pass
   /// (ConsistentHashRing::owner_batch), then the table entries on top.
   /// out[i] == (*this)(keys[i]) exactly — the engines' router uses this
   /// to amortize hashing across a chunk of tuples.

@@ -17,6 +17,7 @@ Controller::Controller(AssignmentFunction assignment, PlannerPtr planner,
       stats_(make_stats_provider(config.stats_mode, num_keys, config.window,
                                  config.sketch, config.shards)) {
   SKW_EXPECTS(planner_ != nullptr || !config_.enabled);
+  SKW_EXPECTS(config_.shards >= 1);
 }
 
 SketchSlabSink* Controller::slab_sink() {

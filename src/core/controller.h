@@ -37,18 +37,17 @@ struct ControllerConfig {
   /// How per-key statistics are stored: kExact keeps dense O(|K|)
   /// vectors (StatsWindow); kSketch keeps exact stats only for tracked
   /// heavy hitters plus Count-Min aggregates for the cold tail
-  /// (SketchStatsWindow) — the million-key configuration.
+  /// (ShardedSketchStats over SketchStatsWindows) — the million-key
+  /// configuration.
   StatsMode stats_mode = StatsMode::kExact;
   /// Tuning for stats_mode == kSketch.
   SketchStatsConfig sketch = {};
-  /// Key-domain shards for the sketch provider. 0 = the legacy single
-  /// SketchStatsWindow; >= 1 selects the sharded controller
-  /// (ShardedSketchStats): S shard-local windows absorbing sealed worker
-  /// slabs concurrently, a thin global tier concatenating the per-shard
-  /// compact snapshots for planning. shards = 1 is contractually
-  /// byte-identical to shards = 0 (plan-history digest, θ bit patterns).
-  /// Ignored in exact mode.
-  std::size_t shards = 0;
+  /// Key-domain shards (>= 1) of the sketch provider, the sharded
+  /// controller (ShardedSketchStats): S shard-local windows absorbing
+  /// sealed worker slabs concurrently, a thin global tier concatenating
+  /// the per-shard compact snapshots for planning. S = 1 is the single
+  /// window, with no pool threads. Ignored in exact mode.
+  std::size_t shards = 1;
 };
 
 class Controller {
@@ -69,9 +68,8 @@ class Controller {
   [[nodiscard]] StatsProvider& stats() { return *stats_; }
   [[nodiscard]] const StatsProvider& stats() const { return *stats_; }
 
-  /// The provider as a slab sink when stats_mode == kSketch — the single
-  /// window (shards <= 1) or the sharded provider — nullptr in exact
-  /// mode. This is the seam the engines feed sealed worker slabs through
+  /// The provider as a slab sink when stats_mode == kSketch (the sharded
+  /// provider, at any shard count), nullptr in exact mode. This is the seam the engines feed sealed worker slabs through
   /// and the shard boundary the sharded controller lives behind.
   [[nodiscard]] SketchSlabSink* slab_sink();
   [[nodiscard]] const SketchSlabSink* slab_sink() const;

@@ -22,9 +22,8 @@
 // planner stack untouched.
 //
 // S = 1 is an explicit identity: every path short-circuits to the single
-// window inline (no pool threads exist), so a shards=1 run is
-// byte-identical — plan-history digest, θ bit patterns — to the
-// pre-sharding single controller.
+// window inline (no pool threads exist), so a shards=1 run plans exactly
+// as one SketchStatsWindow would — plan-history digest, θ bit patterns.
 #pragma once
 
 #include <atomic>

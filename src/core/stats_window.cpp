@@ -109,11 +109,8 @@ std::unique_ptr<StatsProvider> make_stats_provider(
     StatsMode mode, std::size_t num_keys, int window,
     const SketchStatsConfig& sketch, std::size_t shards) {
   if (mode == StatsMode::kSketch) {
-    if (shards >= 1) {
-      return std::make_unique<ShardedSketchStats>(num_keys, window, sketch,
-                                                  shards);
-    }
-    return std::make_unique<SketchStatsWindow>(num_keys, window, sketch);
+    return std::make_unique<ShardedSketchStats>(num_keys, window, sketch,
+                                                shards);
   }
   return std::make_unique<StatsWindow>(num_keys, window);
 }

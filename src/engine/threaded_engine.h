@@ -277,8 +277,8 @@ class ThreadedEngine final : public EngineCore {
   std::vector<WorkerFold::KeyAggMap> drain_scratch_;
   std::unique_ptr<StatsProvider> monitor_;  // hash-only mode, else null
   /// The provider as a slab sink when stats_mode == kSketch (whether
-  /// owned by the controller or by monitor_; the single window or the
-  /// sharded controller — the engine cannot tell, which is the point);
+  /// owned by the controller or by monitor_; the shard count is
+  /// invisible to the engine, which is the point);
   /// null in exact mode. Non-null switches the worker↔driver statistics
   /// contract to thread-local slabs + boundary merge.
   SketchSlabSink* sketch_sink_ = nullptr;

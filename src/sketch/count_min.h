@@ -100,6 +100,7 @@ class CountMinSketch {
   /// of once per sketch. `probe` must come from make_probe(key, seed()).
   void add(double amount, const KeyProbe& probe);
   void add_conservative(double amount, const KeyProbe& probe);
+  [[nodiscard]] double estimate(const KeyProbe& probe) const;
 
   /// Portable software-prefetch hint for one cell (no-op where the
   /// intrinsic is unavailable). Public for the same reason as

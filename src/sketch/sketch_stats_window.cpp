@@ -144,12 +144,6 @@ void SketchStatsWindow::absorb(const WorkerSketchSlab& slab, InstanceId dest) {
   cold_state_cur_d_[slot] += slab.cold_state();
 }
 
-void SketchStatsWindow::absorb_slab(const ShardedWorkerSlab& slab,
-                                    InstanceId dest) {
-  SKW_EXPECTS(slab.shard_count() == 1);
-  absorb(slab.section(0), dest);
-}
-
 std::vector<KeyId> SketchStatsWindow::heavy_keys() const {
   std::vector<KeyId> keys;
   keys.reserve(heavy_.size());

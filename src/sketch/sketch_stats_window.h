@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "sketch/count_min.h"
-#include "sketch/slab_sink.h"
 #include "sketch/space_saving.h"
 #include "sketch/stats_provider.h"
 
@@ -57,7 +56,7 @@ namespace skewless {
 
 class WorkerSketchSlab;
 
-class SketchStatsWindow final : public StatsProvider, public SketchSlabSink {
+class SketchStatsWindow final : public StatsProvider {
  public:
   /// `num_keys` = |K| (logical bound for synthesize_dense; grows on
   /// demand), `window` = w ≥ 1.
@@ -105,18 +104,9 @@ class SketchStatsWindow final : public StatsProvider, public SketchSlabSink {
   /// aggregates and the merged promotion candidates.
   void absorb(const WorkerSketchSlab& slab, InstanceId dest = kNilInstance);
 
-  /// SketchSlabSink — this window is the S = 1 sink: absorb_slab expects
-  /// a single-section ShardedWorkerSlab and forwards to absorb().
-  [[nodiscard]] const SketchStatsConfig& slab_config() const override {
-    return config_;
-  }
-  [[nodiscard]] std::size_t slab_shards() const override { return 1; }
-  void absorb_slab(const ShardedWorkerSlab& slab,
-                   InstanceId dest = kNilInstance) override;
-
   /// The current heavy key set, sorted ascending (deterministic) — what
   /// the driver distributes to worker slabs at interval boundaries.
-  [[nodiscard]] std::vector<KeyId> heavy_keys() const override;
+  [[nodiscard]] std::vector<KeyId> heavy_keys() const;
 
   [[nodiscard]] Cost last_cost_of(KeyId key) const override;
   [[nodiscard]] std::uint64_t last_frequency_of(KeyId key) const override;
@@ -160,7 +150,7 @@ class SketchStatsWindow final : public StatsProvider, public SketchSlabSink {
   void synthesize_compact(InstanceId num_instances, std::vector<KeyId>& keys,
                           std::vector<Cost>& cost, std::vector<Bytes>& state,
                           std::vector<Cost>& cold_cost,
-                          std::vector<Bytes>& cold_state) const override;
+                          std::vector<Bytes>& cold_state) const;
 
   [[nodiscard]] std::size_t num_keys() const override { return num_keys_; }
   void resize_keys(std::size_t num_keys) override;
@@ -182,10 +172,10 @@ class SketchStatsWindow final : public StatsProvider, public SketchSlabSink {
   /// construction, and the counts from the most recent roll(). The
   /// bench's churn rate is (promotions + demotions per interval) /
   /// heavy_capacity.
-  [[nodiscard]] std::uint64_t total_promotions() const override {
+  [[nodiscard]] std::uint64_t total_promotions() const {
     return total_promotions_;
   }
-  [[nodiscard]] std::uint64_t total_demotions() const override {
+  [[nodiscard]] std::uint64_t total_demotions() const {
     return total_demotions_;
   }
   [[nodiscard]] std::size_t last_promotions() const {

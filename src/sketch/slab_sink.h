@@ -1,8 +1,8 @@
 // SketchSlabSink — the boundary-merge contract between the engines and
-// whatever absorbs sealed worker slabs: the single SketchStatsWindow (the
-// S = 1 identity case) or the sharded controller's ShardedSketchStats,
-// which fans one ShardedWorkerSlab's per-shard sections out to S
-// shard-local windows concurrently.
+// what absorbs sealed worker slabs: the sharded controller's
+// ShardedSketchStats, which fans one ShardedWorkerSlab's per-shard
+// sections out to S shard-local windows concurrently (S = 1 is the
+// single window).
 //
 // The engines (ThreadedEngine's merge path, NetEngine's summary absorb)
 // talk ONLY to this interface in sketch mode: they build per-worker

@@ -17,9 +17,9 @@
 #include "core/plan.h"
 #include "core/planners.h"
 #include "core/controller.h"
+#include "core/sharded_controller.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
-#include "sketch/simd/sketch_kernels.h"
 #include "sketch/sketch_stats_window.h"
 #include "sketch/worker_sketch_slab.h"
 #include "test_util.h"
@@ -335,7 +335,7 @@ TEST(Determinism, ThreadedSketchStatsAreByteIdenticalAcrossRuns) {
                           /*num_workers_for_ring=*/4, /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     const auto heavy = sketch->heavy_keys();
@@ -386,7 +386,7 @@ TEST(Determinism, DoubleBufferedMergeMatchesInlineBaseline) {
                           /*ring_seed=*/3);
     engine.run(source, 3, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -550,7 +550,7 @@ TEST(Determinism, AdversarialThreadedRunsAreByteIdentical) {
                           /*num_workers_for_ring=*/3, /*ring_seed=*/3);
     engine.run(source, 4, /*seed=*/9);
     const auto* sketch =
-        dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
+        dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
     ASSERT_NE(sketch, nullptr);
     sketch->synthesize_dense(cost, state);
     heavy = sketch->heavy_keys();
@@ -771,74 +771,80 @@ TEST(Determinism, NetRunWithExpiryIsByteIdenticalToThreadedRun) {
   EXPECT_EQ(threaded.outputs, net.outputs);
 }
 
-// The sharded controller's headline contract, part 1: a shards=1 run is
-// BYTE-identical to the legacy single-window controller (shards=0) — the
-// ShardedSketchStats S=1 paths all short-circuit to the one window, the
-// ShardedWorkerSlab forwards to its single section's prefetch-pipelined
-// fold, so plan-history digest, θ bit patterns, state checksums and
-// output counts all match exactly. Same harness as the net-vs-threaded
-// byte-identity test above.
-TEST(Determinism, ShardedPlanMatchesSingleController) {
-  struct RunResult {
-    std::vector<double> thetas;
-    std::uint64_t plan_digest = 0;
-    std::size_t rebalances = 0;
-    std::uint64_t checksum = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t outputs = 0;
-  };
+// Shared harness of the two pinned-golden tests below: a 3-worker threaded
+// sketch-mode run of a fluctuating Zipf stream under the Mixed planner
+// (same harness as the net-vs-threaded byte-identity test above). The
+// goldens are the plan-history digest, θ bit patterns, state checksum,
+// state entries and counts this run produced before the vector sketch
+// kernels and the single-window (shards=0) controller were deleted; the
+// vector and scalar kernels, and shards=0 and shards=1, all agreed on them.
+void run_pinned_zipf_and_expect_goldens(const ControllerConfig& base) {
   const InstanceId kWorkers = 3;
   const int kIntervals = 4;
-  const auto run = [&](std::size_t shards) {
-    ZipfFluctuatingSource::Options opts;
-    opts.num_keys = 5'000;
-    opts.skew = 1.1;
-    opts.tuples_per_interval = 20'000;
-    opts.fluctuation = 0.5;
-    opts.seed = 77;
-    ZipfFluctuatingSource source(opts);
+  ZipfFluctuatingSource::Options opts;
+  opts.num_keys = 5'000;
+  opts.skew = 1.1;
+  opts.tuples_per_interval = 20'000;
+  opts.fluctuation = 0.5;
+  opts.seed = 77;
+  ZipfFluctuatingSource source(opts);
 
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.08;
-    ccfg.stats_mode = StatsMode::kSketch;
-    ccfg.sketch.heavy_capacity = 256;
-    ccfg.shards = shards;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(kWorkers), 0),
-        std::make_unique<MixedPlanner>(), ccfg, source.num_keys());
+  ControllerConfig ccfg = base;
+  ccfg.planner.theta_max = 0.08;
+  ccfg.stats_mode = StatsMode::kSketch;
+  ccfg.sketch.heavy_capacity = 256;
+  auto controller = std::make_unique<Controller>(
+      AssignmentFunction(ConsistentHashRing(kWorkers), 0),
+      std::make_unique<MixedPlanner>(), ccfg, source.num_keys());
 
-    ThreadedConfig tcfg;
-    tcfg.num_workers = kWorkers;
-    tcfg.batch_size = 64;
-    tcfg.stats_mode = StatsMode::kSketch;
-    tcfg.sketch.heavy_capacity = 256;
-    ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
-                          std::move(controller));
-    const auto reports = engine.run(source, kIntervals, /*seed=*/9);
-    RunResult result;
-    for (const auto& r : reports) result.thetas.push_back(r.max_theta);
-    result.plan_digest = engine.controller()->plan_history_digest();
-    result.rebalances = engine.controller()->rebalance_count();
-    engine.shutdown();
-    result.checksum = engine.state_checksum();
-    result.processed = engine.total_processed();
-    result.outputs = engine.total_output_tuples();
-    return result;
-  };
+  ThreadedConfig tcfg;
+  tcfg.num_workers = kWorkers;
+  tcfg.batch_size = 64;
+  tcfg.stats_mode = StatsMode::kSketch;
+  tcfg.sketch.heavy_capacity = 256;
+  ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
+                        std::move(controller));
+  const auto reports = engine.run(source, kIntervals, /*seed=*/9);
+  std::vector<std::uint64_t> theta_bits;
+  for (const auto& r : reports) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r.max_theta, sizeof(bits));
+    theta_bits.push_back(bits);
+  }
+  EXPECT_EQ(engine.controller()->plan_history_digest(),
+            0x6c5f797c66143d03ULL);
+  EXPECT_EQ(engine.controller()->rebalance_count(), 4u);
+  engine.shutdown();
+  // Bit patterns, not EXPECT_DOUBLE_EQ — the contract is byte-identical,
+  // and θ is a quotient of sketch-derived sums.
+  // (θ = 0.3547, 0.2525, 0.1021, 0.24475.)
+  EXPECT_EQ(theta_bits,
+            (std::vector<std::uint64_t>{
+                0x3fd6b367a0f9096cULL, 0x3fd028f5c28f5c28ULL,
+                0x3fba2339c0ebedfdULL, 0x3fcf53f7ced91688ULL}));
+  EXPECT_EQ(engine.state_checksum(), 0x5d937a126b929002ULL);
+  EXPECT_EQ(engine.total_state_entries(), 3996u);
+  EXPECT_EQ(engine.total_processed(), 80'000u);
+  EXPECT_EQ(engine.total_output_tuples(), 80'000u);
+}
 
-  const RunResult single = run(0);
-  const RunResult sharded = run(1);
-  ASSERT_GT(single.rebalances, 0u);
-  EXPECT_EQ(single.rebalances, sharded.rebalances);
-  EXPECT_EQ(single.plan_digest, sharded.plan_digest);
-  ASSERT_EQ(single.thetas.size(), sharded.thetas.size());
-  // Bit-pattern equality, not EXPECT_DOUBLE_EQ — the contract is
-  // byte-identical.
-  EXPECT_EQ(0, std::memcmp(single.thetas.data(), sharded.thetas.data(),
-                           single.thetas.size() * sizeof(double)));
-  EXPECT_EQ(single.checksum, sharded.checksum);
-  EXPECT_EQ(single.processed, sharded.processed);
-  EXPECT_EQ(single.outputs, sharded.outputs);
+// The scalar sketch loops (now the only ones) reproduce, byte for byte,
+// the run the default vector-kernel dispatch produced. The controller
+// config is left at its defaults, as in the original dispatch comparison.
+TEST(Determinism, SimdScalarMatchesDefaultDispatch) {
+  run_pinned_zipf_and_expect_goldens(ControllerConfig{});
+}
+
+// The sharded controller's headline contract, part 1: a shards=1 run is
+// BYTE-identical to the single-window controller it replaced — the
+// ShardedSketchStats S=1 paths all short-circuit to the one window, the
+// ShardedWorkerSlab forwards to its single section's prefetch-pipelined
+// fold. That controller is gone, so the run is checked against the
+// goldens it produced.
+TEST(Determinism, ShardedPlanMatchesSingleController) {
+  ControllerConfig ccfg;
+  ccfg.shards = 1;
+  run_pinned_zipf_and_expect_goldens(ccfg);
 }
 
 // Part 2: shards ∈ {2, 4, 8} plan-EQUIVALENCE on identical streams, in
@@ -904,84 +910,6 @@ TEST(Determinism, ShardedPlanEquivalenceAcrossShardCounts) {
                              base.thetas.size() * sizeof(double)))
         << "shards=" << shards;
   }
-}
-
-// The SIMD dispatch must be INVISIBLE in every deterministic output: a
-// full threaded controller run under the default (best-supported) kernel
-// tier must match a forced-scalar run bit for bit — plan history digest,
-// θ bit patterns, state checksums, output counts. This is the end-to-end
-// closure of the per-kernel bit-identity fuzz in test_simd_kernels: if
-// any vector kernel re-associated a floating-point sum or perturbed a
-// hash, it would surface here as a digest split. On hosts whose best
-// tier IS scalar the two runs are trivially equal and the test still
-// passes (it proves dispatch stability, not vectorization).
-TEST(Determinism, SimdScalarMatchesDefaultDispatch) {
-  struct RunResult {
-    std::vector<double> thetas;
-    std::uint64_t plan_digest = 0;
-    std::size_t rebalances = 0;
-    std::uint64_t checksum = 0;
-    std::size_t entries = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t outputs = 0;
-  };
-
-  const InstanceId kWorkers = 3;
-  const int kIntervals = 4;
-  const auto run = [&](simd::KernelTier tier) {
-    simd::set_active_tier(tier);
-    ZipfFluctuatingSource::Options opts;
-    opts.num_keys = 5'000;
-    opts.skew = 1.1;
-    opts.tuples_per_interval = 20'000;
-    opts.fluctuation = 0.5;
-    opts.seed = 77;
-    ZipfFluctuatingSource source(opts);
-
-    ControllerConfig ccfg;
-    ccfg.planner.theta_max = 0.08;
-    ccfg.stats_mode = StatsMode::kSketch;
-    ccfg.sketch.heavy_capacity = 256;
-    auto controller = std::make_unique<Controller>(
-        AssignmentFunction(ConsistentHashRing(kWorkers), 0),
-        std::make_unique<MixedPlanner>(), ccfg, source.num_keys());
-
-    ThreadedConfig tcfg;
-    tcfg.num_workers = kWorkers;
-    tcfg.batch_size = 64;
-    tcfg.stats_mode = StatsMode::kSketch;
-    tcfg.sketch.heavy_capacity = 256;
-    ThreadedEngine engine(tcfg, std::make_shared<WordCountLogic>(),
-                          std::move(controller));
-    const auto reports = engine.run(source, kIntervals, /*seed=*/9);
-    RunResult result;
-    for (const auto& r : reports) result.thetas.push_back(r.max_theta);
-    result.plan_digest = engine.controller()->plan_history_digest();
-    result.rebalances = engine.controller()->rebalance_count();
-    engine.shutdown();
-    result.checksum = engine.state_checksum();
-    result.entries = engine.total_state_entries();
-    result.processed = engine.total_processed();
-    result.outputs = engine.total_output_tuples();
-    return result;
-  };
-
-  const RunResult vector = run(simd::max_supported_tier());
-  const RunResult scalar = run(simd::KernelTier::kScalar);
-  simd::set_active_tier(simd::default_tier());
-
-  ASSERT_GT(vector.rebalances, 0u);
-  EXPECT_EQ(scalar.rebalances, vector.rebalances);
-  EXPECT_EQ(scalar.plan_digest, vector.plan_digest);
-  ASSERT_EQ(scalar.thetas.size(), vector.thetas.size());
-  // Bit-pattern equality, not EXPECT_DOUBLE_EQ: the contract is
-  // byte-identical, and θ is a quotient of sketch-derived sums.
-  EXPECT_EQ(0, std::memcmp(scalar.thetas.data(), vector.thetas.data(),
-                           scalar.thetas.size() * sizeof(double)));
-  EXPECT_EQ(scalar.checksum, vector.checksum);
-  EXPECT_EQ(scalar.entries, vector.entries);
-  EXPECT_EQ(scalar.processed, vector.processed);
-  EXPECT_EQ(scalar.outputs, vector.outputs);
 }
 
 TEST(Determinism, SeededZipfSamplesAreIdentical) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "common/zipf.h"
 #include "core/controller.h"
 #include "core/planners.h"
@@ -331,6 +333,41 @@ TEST(SketchStatsWindow, AbsorbPreservesExactAggregatesAndHotTier) {
   const double mass_d = std::accumulate(cost_d.begin(), cost_d.end(), 0.0);
   const double mass_m = std::accumulate(cost_m.begin(), cost_m.end(), 0.0);
   EXPECT_NEAR(mass_m, mass_d, 1e-6 * mass_d);
+}
+
+// The batched fold (probes taken while classifying, cold flush
+// prefetch-pipelined) must leave the slab byte-identical to add() per
+// entry in the batch's iteration order: cells, hot map, candidates and
+// scalars — the full wire image.
+TEST(SketchStatsWindow, SlabAddBatchSerializesLikePerEntryAdd) {
+  SketchStatsConfig cfg;
+  cfg.heavy_capacity = 64;
+  std::vector<KeyId> heavy;
+  for (KeyId k = 0; k < 16; ++k) heavy.push_back(k * 97);
+  WorkerSketchSlab batched(cfg);
+  WorkerSketchSlab single(cfg);
+  batched.set_heavy_keys(heavy);
+  single.set_heavy_keys(heavy);
+
+  Xoshiro256 rng(0x600dULL);
+  for (int batch = 0; batch < 8; ++batch) {
+    std::unordered_map<KeyId, WorkerSketchSlab::KeyAgg> entries;
+    for (int i = 0; i < 400; ++i) {
+      auto& agg = entries[rng.next_below(5000)];
+      agg.cost += static_cast<double>(1 + rng.next_below(8));
+      agg.state_bytes += 8.0;
+      agg.frequency += 1;
+    }
+    batched.add_batch(entries);
+    for (const auto& [key, agg] : entries) {
+      single.add(key, agg.cost, agg.state_bytes, agg.frequency);
+    }
+  }
+  ByteWriter batched_bytes;
+  ByteWriter single_bytes;
+  batched.serialize(batched_bytes);
+  single.serialize(single_bytes);
+  EXPECT_EQ(batched_bytes.bytes(), single_bytes.bytes());
 }
 
 // A slab whose heavy snapshot went stale (key demoted between the

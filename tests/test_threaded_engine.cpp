@@ -6,8 +6,12 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <set>
 
+#include "common/cpu_topology.h"
+#include "common/first_touch.h"
 #include "core/planners.h"
+#include "core/sharded_controller.h"
 #include "sketch/sketch_stats_window.h"
 #include "workload/operators.h"
 #include "workload/synthetic.h"
@@ -360,9 +364,10 @@ TEST(ThreadedEngine, SketchModeHashOnlyTracksHeavyKeysViaSlabs) {
     const auto report = engine.run_interval(tuples);
     EXPECT_GT(report.stats_memory_bytes, 0u);
   }
-  const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
-  ASSERT_NE(sketch, nullptr);
+  const auto* sharded =
+      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+  ASSERT_NE(sharded, nullptr);
+  const SketchStatsWindow* sketch = &sharded->shard(0);
   // The hottest keys were promoted out of the worker slabs' candidate
   // union, and their exact hot-tier stats match the true per-key cost
   // (WordCountLogic reports cost 1 per tuple).
@@ -445,9 +450,10 @@ TEST(ThreadedEngine, SealSwapKeepsStatsExactAcrossEpochs) {
     EXPECT_GE(report.stall_ms, 0.0);
     EXPECT_GE(report.merge_ms, 0.0);
   }
-  const auto* sketch =
-      dynamic_cast<const SketchStatsWindow*>(&engine.state_tracker());
-  ASSERT_NE(sketch, nullptr);
+  const auto* sharded =
+      dynamic_cast<const ShardedSketchStats*>(&engine.state_tracker());
+  ASSERT_NE(sharded, nullptr);
+  const SketchStatsWindow* sketch = &sharded->shard(0);
   EXPECT_TRUE(sketch->is_heavy(0));
   EXPECT_DOUBLE_EQ(sketch->last_cost_of(0), 1001.0);
   EXPECT_EQ(sketch->last_frequency_of(0), 1001u);
@@ -557,6 +563,82 @@ TEST(ThreadedEngine, ShutdownIsIdempotent) {
   engine.shutdown();
   engine.shutdown();
   EXPECT_EQ(engine.total_processed(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// FirstTouchArray — the lazily-mapped backing store the NUMA first-touch
+// placement relies on.
+
+TEST(FirstTouchArrayTest, ResetZeroPrefaultAndMoveSemantics) {
+  FirstTouchArray<double> arr;
+  EXPECT_TRUE(arr.empty());
+  EXPECT_EQ(arr.size(), 0u);
+
+  arr.reset(1000);
+  ASSERT_EQ(arr.size(), 1000u);
+  ASSERT_NE(arr.data(), nullptr);
+  EXPECT_GE(arr.memory_bytes(), 1000 * sizeof(double));
+  // Fresh mappings read as zero without any explicit initialization.
+  for (std::size_t i = 0; i < arr.size(); ++i) ASSERT_EQ(arr[i], 0.0);
+
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    arr[i] = static_cast<double>(i);
+  }
+  // prefault() is value-neutral: committing pages must not disturb
+  // already-written contents.
+  arr.prefault();
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    ASSERT_EQ(arr[i], static_cast<double>(i));
+  }
+  arr.zero();
+  for (std::size_t i = 0; i < arr.size(); ++i) ASSERT_EQ(arr[i], 0.0);
+
+  arr[7] = 42.0;
+  FirstTouchArray<double> moved = std::move(arr);
+  ASSERT_EQ(moved.size(), 1000u);
+  EXPECT_EQ(moved[7], 42.0);
+  EXPECT_TRUE(arr.empty());  // NOLINT(bugprone-use-after-move): specified
+
+  // reset() replaces the mapping: new extent, zeroed content again.
+  moved.reset(64);
+  ASSERT_EQ(moved.size(), 64u);
+  for (std::size_t i = 0; i < moved.size(); ++i) ASSERT_EQ(moved[i], 0.0);
+}
+
+// ---------------------------------------------------------------------
+// CPU topology — the worker pin order.
+
+TEST(CpuTopologyTest, PinOrderIsAPermutationCoveringEveryHardwareThread) {
+  const CpuTopology& topo = cpu_topology();
+  EXPECT_GE(topo.hardware_threads, 1u);
+  EXPECT_GE(topo.physical_cores, 1u);
+  EXPECT_LE(topo.physical_cores, topo.hardware_threads);
+  EXPECT_EQ(topo.smt, topo.hardware_threads > topo.physical_cores);
+
+  ASSERT_EQ(topo.pin_order.size(), topo.hardware_threads);
+  std::set<int> seen;
+  for (const int cpu : topo.pin_order) {
+    EXPECT_GE(cpu, 0);
+    EXPECT_TRUE(seen.insert(cpu).second) << "duplicate cpu " << cpu;
+  }
+  // Physical-core primaries occupy the first physical_cores slots: a
+  // worker fleet no larger than the core count never lands on an SMT
+  // sibling. (With the identity fallback physical_cores ==
+  // hardware_threads and the property holds trivially.)
+  std::set<int> primaries(topo.pin_order.begin(),
+                          topo.pin_order.begin() +
+                              static_cast<std::ptrdiff_t>(topo.physical_cores));
+  EXPECT_EQ(primaries.size(), topo.physical_cores);
+}
+
+TEST(CpuTopologyTest, NumaBindIsSafeWhereverItLands) {
+  // On hosts without libnuma (or single-node machines) this is a no-op
+  // returning false; with libnuma it binds. Either way it must not
+  // crash and must tolerate an arbitrary valid CPU id.
+  const bool bound = bind_current_thread_to_node_of_cpu(0);
+  if (!numa_support_compiled()) {
+    EXPECT_FALSE(bound);
+  }
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "engine/sim_engine.h"
 #include "engine/threaded_engine.h"
 #include "net/net_engine.h"
-#include "sketch/simd/sketch_kernels.h"
 #include "workload/adversarial.h"
 #include "workload/operators.h"
 #include "workload/social.h"
@@ -52,9 +51,8 @@ struct Args {
   std::uint64_t seed = 7;
   StatsMode stats_mode = StatsMode::kExact;
   SketchStatsConfig sketch = {};
-  /// Sketch mode: key-domain shards for the sharded controller (0 =
-  /// legacy single window; 1 = sharded identity case, byte-identical).
-  std::size_t shards = 0;
+  /// Sketch mode: key-domain shards for the sharded controller (>= 1).
+  std::size_t shards = 1;
   /// Adversarial workload: which attack pattern to run.
   std::string attack = "rotating";
   int rotation_period = 3;
@@ -80,10 +78,6 @@ struct Args {
   /// Threaded sketch mode: double-buffered slabs + asynchronous
   /// boundary merge (default) vs the inline quiesce-and-merge baseline.
   bool async_merge = true;
-  /// Force the scalar sketch kernels (skip the SIMD dispatch). The run
-  /// is bit-identical either way — this flag exists for A/B timing and
-  /// for proving exactly that.
-  bool no_simd = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -99,7 +93,7 @@ struct Args {
       "          [--attack rotating|skew-flip|pareto|churn|collision]\n"
       "          [--rotation-period N]\n"
       "          [--engine sim|threaded|net] [--batch N] [--pin]\n"
-      "          [--inline-merge] [--workers-proc N] [--no-simd]\n"
+      "          [--inline-merge] [--workers-proc N]\n"
       "          [--fault SPEC] [--no-recovery] [--net-timeout-ms N]\n"
       "fault spec: kind:w=W,epoch=E[,sticky][;...] with kind one of\n"
       "          kill|wedge|garble|drop (net engine only)\n"
@@ -200,15 +194,13 @@ Args parse(int argc, char** argv) {
       args.pin = true;
     } else if (flag == "--inline-merge") {
       args.async_merge = false;
-    } else if (flag == "--no-simd") {
-      args.no_simd = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage(argv[0]);
     }
   }
   if (args.instances < 1 || args.intervals < 1 || args.keys < 1 ||
-      args.window < 1 || args.batch < 1) {
+      args.window < 1 || args.batch < 1 || args.shards < 1) {
     usage(argv[0]);
   }
   if (args.sketch.heavy_capacity < 1 || args.sketch.epsilon <= 0.0 ||
@@ -319,26 +311,24 @@ struct RunTotals {
 
 /// Per-interval CSV of a threaded or net run. `pinned` is the number of
 /// workers whose core pin took effect (0 with --pin absent, on platforms
-/// without affinity support, and for net worker processes) and `kernel`
-/// the dispatched SIMD tier — constant per run, carried per-row so
-/// downstream CSV tooling keeps one schema. `wire` appends the net
-/// engine's per-interval socket byte columns.
+/// without affinity support, and for net worker processes) — constant
+/// per run, carried per-row so downstream CSV tooling keeps one schema.
+/// `wire` appends the net engine's per-interval socket byte columns.
 RunTotals print_reports(const std::vector<IntervalReport>& reports,
                         int pinned, bool wire) {
   std::printf(
       "interval,throughput_tps,latency_ms,max_theta,migrated,moves,"
-      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned,"
-      "kernel%s\n",
+      "migration_bytes,gen_ms,stall_ms,merge_ms,stats_memory_bytes,pinned"
+      "%s\n",
       wire ? ",data_wire_bytes,ctrl_wire_bytes" : "");
   RunTotals totals;
   for (const auto& r : reports) {
-    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d,%s",
+    std::printf("%lld,%.0f,%.3f,%.4f,%d,%zu,%.0f,%.2f,%.3f,%.3f,%zu,%d",
                 static_cast<long long>(r.interval), r.throughput_tps,
                 r.avg_latency_ms, r.max_theta, r.migrated ? 1 : 0, r.moves,
                 r.migration_bytes,
                 static_cast<double>(r.generation_micros) / 1000.0,
-                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned,
-                simd::active_kernels().name);
+                r.stall_ms, r.merge_ms, r.stats_memory_bytes, pinned);
     if (wire) {
       std::printf(",%llu,%llu",
                   static_cast<unsigned long long>(r.data_wire_bytes),
@@ -389,13 +379,12 @@ int run_threaded(const Args& args, char* argv0) {
   const CpuTopology& topo = cpu_topology();
   std::fprintf(stderr,
                "# engine=threaded stats=%s merge=%s stats_memory_bytes=%zu "
-               "pinned=%d kernel=%s cores=%u smt_threads=%u numa=%s "
+               "pinned=%d cores=%u smt_threads=%u numa=%s "
                "total_stall_ms=%.3f total_merge_ms=%.3f\n",
                args.stats_mode == StatsMode::kSketch ? "sketch" : "exact",
                args.async_merge ? "async" : "inline",
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               static_cast<int>(engine->pinned_workers()),
-               simd::active_kernels().name, topo.physical_cores,
+               static_cast<int>(engine->pinned_workers()), topo.physical_cores,
                topo.smt ? topo.hardware_threads - topo.physical_cores : 0,
                numa_support_compiled() ? "on" : "off", totals.stall_ms,
                totals.merge_ms);
@@ -459,13 +448,13 @@ int run_net(const Args& args, char* argv0) {
   }
   std::fprintf(stderr,
                "# engine=net workers=%d stats=sketch stats_memory_bytes=%zu "
-               "kernel=%s total_stall_ms=%.3f total_merge_ms=%.3f "
+               "total_stall_ms=%.3f total_merge_ms=%.3f "
                "wire_bytes=%llu state_checksum=%016llx state_entries=%zu "
                "recoveries=%llu degraded=%d recovery_ms=%.3f "
                "live_workers=%zu\n",
                static_cast<int>(workers),
                reports.empty() ? 0 : reports.back().stats_memory_bytes,
-               simd::active_kernels().name, totals.stall_ms, totals.merge_ms,
+               totals.stall_ms, totals.merge_ms,
                static_cast<unsigned long long>(totals.wire_bytes),
                static_cast<unsigned long long>(engine.state_checksum()),
                engine.total_state_entries(),
@@ -491,7 +480,6 @@ int run_net(const Args& args, char* argv0) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  if (args.no_simd) simd::force_scalar();
   if (args.engine == "threaded") return run_threaded(args, argv[0]);
   if (args.engine == "net") return run_net(args, argv[0]);
   auto source = make_source(args);
